@@ -1,26 +1,16 @@
-//! Transport hot-path copy audit: bytes copied and host ns per call,
-//! before vs. after the zero-copy Wire layer.
+//! Transport hot-path copy audit: bytes copied, host ns and simulated
+//! cycles per call on the zero-copy wire path of every transport.
 //!
-//! Two modes per transport personality:
-//!
-//! * `wire-zero-copy` — the shipping path: one [`Lane`]-staged encode per
-//!   call, the reply served in place from the lane's payload half.
-//! * `legacy-marshalling` — an emulation of the pre-`sb-transport` call
-//!   path layered on top of the same transport: per call the old code
-//!   materialised the request payload into a fresh `Vec`
-//!   (`Request::encode`), copied it again at the serve boundary
-//!   (`req.to_vec()` in the old SkyBridge engine), and materialised the
-//!   echo reply as a third owned `Vec` (`request.to_vec()` in
-//!   `direct_server_call`). Those three payload copies are re-performed
-//!   and metered here so the comparison is measured, not remembered.
-//!
-//! Simulated cycles per call are identical by construction (the machine
-//! model charges the same translations either way) — the bin records
-//! them per mode to prove it. Host wall-clock ns/call and bytes-copied
-//! are the quantities the refactor changes. Results go to
+//! Each call stages one encode into its [`Lane`](sb_transport::wire)
+//! and is served in place from the lane's payload half, so at the
+//! 64-byte KV payload the copy meter must read at most
+//! [`WIRE_BYTES_BOUND`] bytes per call (request frame out, reply frame
+//! back). The bin exits non-zero if any transport copies more — a
+//! deterministic gate, independent of host speed. Host ns/call and
+//! simulated cycles per call are recorded alongside in
 //! `results/transport_hotpath.json`.
 //!
-//! `SB_CALLS` scales the per-mode call count (default 20,000 for the
+//! `SB_CALLS` sets the per-transport call count (default 20,000 for the
 //! synthetic transport, 2,000 for the kernel-backed ones).
 
 use std::hint::black_box;
@@ -32,23 +22,23 @@ use sb_bench::{
 };
 use sb_microkernel::Personality;
 use sb_runtime::{
-    FixedServiceTransport, RequestFactory, ServiceSpec, SkyBridgeTransport, Transport,
-    TrapIpcTransport,
+    FixedServiceTransport, MpkTransport, RequestFactory, ServiceSpec, SkyBridgeTransport,
+    Transport, TrapIpcTransport,
 };
 use sb_ycsb::WorkloadSpec;
 
-/// A transport constructor paired with its label and call count.
-type Target = (String, Box<dyn FnMut() -> Box<dyn Transport>>, u64);
+/// Most bytes the wire path may copy per call at the 64-byte payload.
+const WIRE_BYTES_BOUND: f64 = 88.0;
 
-struct ModeResult {
+struct Measured {
     bytes_per_call: f64,
     ns_per_call: f64,
     sim_cycles_per_call: f64,
 }
 
-/// Drives `calls` requests through lane 0, optionally re-performing the
-/// legacy marshalling copies, and returns the per-call averages.
-fn drive(t: &mut dyn Transport, calls: u64, legacy: bool) -> ModeResult {
+/// Drives `calls` requests through lane 0 and returns the per-call
+/// averages.
+fn drive(t: &mut dyn Transport, calls: u64) -> Measured {
     let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64);
     // Warm: populate caches, TLBs and the lane allocation.
     for _ in 0..calls.min(256) {
@@ -56,28 +46,16 @@ fn drive(t: &mut dyn Transport, calls: u64, legacy: bool) -> ModeResult {
         t.call(0, &r).expect("warm call");
     }
     let bytes0 = t.bytes_copied();
-    let mut legacy_bytes = 0u64;
     let cyc0 = t.now(0);
     let wall = Instant::now();
     for _ in 0..calls {
         let r = factory.make(t.now(0), None);
-        if legacy {
-            // The old path's three owned payload images per call:
-            // encode, serve-boundary to_vec, reply materialisation.
-            let encoded = r.encode();
-            let at_boundary = encoded.clone();
-            t.call(0, &r).expect("call");
-            let reply = at_boundary.clone();
-            legacy_bytes += (encoded.len() + at_boundary.len() + reply.len()) as u64;
-            black_box((encoded, at_boundary, reply));
-        } else {
-            t.call(0, &r).expect("call");
-            black_box(t.reply(0));
-        }
+        t.call(0, &r).expect("call");
+        black_box(t.reply(0));
     }
     let ns = wall.elapsed().as_nanos() as f64;
-    ModeResult {
-        bytes_per_call: (t.bytes_copied() - bytes0 + legacy_bytes) as f64 / calls as f64,
+    Measured {
+        bytes_per_call: (t.bytes_copied() - bytes0) as f64 / calls as f64,
         ns_per_call: ns / calls as f64,
         sim_cycles_per_call: (t.now(0) - cyc0) as f64 / calls as f64,
     }
@@ -85,85 +63,69 @@ fn drive(t: &mut dyn Transport, calls: u64, legacy: bool) -> ModeResult {
 
 fn main() {
     let spec = ServiceSpec::default();
-    let targets: Vec<Target> = vec![
+    let kernel_calls = knob("SB_CALLS", 2_000) as u64;
+    let trap =
+        |p: Personality| -> Box<dyn Transport> { Box::new(TrapIpcTransport::new(p, 1, &spec)) };
+    let targets: Vec<(&str, Box<dyn Transport>, u64)> = vec![
         (
-            "fixed".to_string(),
-            Box::new(|| Box::new(FixedServiceTransport::new(1, 200))),
+            "fixed",
+            Box::new(FixedServiceTransport::new(1, 200)),
             knob("SB_CALLS", 20_000) as u64,
         ),
         (
-            "skybridge".to_string(),
-            Box::new({
-                let spec = spec.clone();
-                move || Box::new(SkyBridgeTransport::new(1, &spec))
-            }),
-            knob("SB_CALLS", 2_000) as u64,
+            "skybridge",
+            Box::new(SkyBridgeTransport::new(1, &spec)),
+            kernel_calls,
         ),
-        (
-            "sel4-trap".to_string(),
-            Box::new({
-                let spec = spec.clone();
-                move || Box::new(TrapIpcTransport::new(Personality::sel4(), 1, &spec))
-            }),
-            knob("SB_CALLS", 2_000) as u64,
-        ),
+        ("mpk", Box::new(MpkTransport::new(1, &spec)), kernel_calls),
+        ("sel4-trap", trap(Personality::sel4()), kernel_calls),
+        ("fiasco-trap", trap(Personality::fiasco_oc()), kernel_calls),
+        ("zircon-trap", trap(Personality::zircon()), kernel_calls),
     ];
 
     let mut rows = Vec::new();
     let mut json_rows: Vec<Json> = Vec::new();
-    let mut regressions = 0u32;
-    for (name, mut build, calls) in targets {
-        let legacy = drive(build().as_mut(), calls, true);
-        let wire = drive(build().as_mut(), calls, false);
-        let copy_cut = 1.0 - wire.bytes_per_call / legacy.bytes_per_call;
-        // Host-time noise guard: the wire path must not be meaningfully
-        // slower (copies only went away; 15% covers scheduler jitter).
-        if wire.ns_per_call > legacy.ns_per_call * 1.15 {
-            regressions += 1;
+    let mut over = Vec::new();
+    for (name, mut t, calls) in targets {
+        let m = drive(t.as_mut(), calls);
+        if m.bytes_per_call > WIRE_BYTES_BOUND {
+            over.push(name);
         }
         rows.push(vec![
-            name.clone(),
-            format!("{:.0}", legacy.bytes_per_call),
-            format!("{:.0}", wire.bytes_per_call),
-            format!("{:.0}%", copy_cut * 100.0),
-            format!("{:.0}", legacy.ns_per_call),
-            format!("{:.0}", wire.ns_per_call),
+            name.to_string(),
+            format!("{:.0}", m.bytes_per_call),
+            format!("{:.0}", m.ns_per_call),
+            format!("{:.1}", m.sim_cycles_per_call),
         ]);
-        for (mode, m) in [("legacy-marshalling", &legacy), ("wire-zero-copy", &wire)] {
-            json_rows.push(
-                Json::obj()
-                    .field("transport", name.as_str())
-                    .field("mode", mode)
-                    .field("calls", calls)
-                    .field("bytes_copied_per_call", m.bytes_per_call)
-                    .field("ns_per_call", m.ns_per_call)
-                    .field("sim_cycles_per_call", m.sim_cycles_per_call),
-            );
-        }
+        json_rows.push(
+            Json::obj()
+                .field("transport", name)
+                .field("calls", calls)
+                .field("bytes_copied_per_call", m.bytes_per_call)
+                .field("ns_per_call", m.ns_per_call)
+                .field("sim_cycles_per_call", m.sim_cycles_per_call),
+        );
     }
     print_table(
-        "transport hot path: marshalling bytes and host ns per call",
-        &[
-            "transport",
-            "legacy B/call",
-            "wire B/call",
-            "copies cut",
-            "legacy ns",
-            "wire ns",
-        ],
+        "transport hot path: wire bytes, host ns and simulated cycles per call",
+        &["transport", "B/call", "ns/call", "sim cycles/call"],
         &rows,
     );
 
     let doc = Json::obj()
         .field("bench", "transport_hotpath")
+        .field("bytes_bound_per_call", WIRE_BYTES_BOUND)
         .field("rows", Json::Arr(json_rows));
     match write_json("transport_hotpath", &doc) {
         Ok(path) => println!("\nwrote {}", path.display()),
         Err(e) => eprintln!("\ncould not write results JSON: {e}"),
     }
-    if regressions > 0 {
-        eprintln!("FAIL: {regressions} transport(s) slower per call on the zero-copy path");
+    if !over.is_empty() {
+        eprintln!(
+            "FAIL: {} copy more than {WIRE_BYTES_BOUND} B per call",
+            over.join(", ")
+        );
         std::process::exit(1);
     }
-    println!("zero-copy wire path: fewer bytes copied, host time no worse");
+    println!("every wire path copies at most {WIRE_BYTES_BOUND} B per call");
 }

@@ -11,21 +11,26 @@
 //! degenerates to the old global FIFO exactly. Lane clocks are the
 //! transport's simulated cores, so service times (and their cache/TLB
 //! history) come out of the machine model, not a distribution.
+//!
+//! This module is only the shared-queue discipline: which lane serves
+//! next and when a full tenant queue blocks or sheds. The tenant gate,
+//! deadline storms, retries and outcome accounting are the serving core
+//! (`serve.rs`), which [`crate::RingRuntime`] shares.
 
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-use sb_faultplane::{FaultHandle, FaultPoint};
+use sb_faultplane::FaultHandle;
 use sb_observe::{InstantKind, Recorder, SpanKind};
 use sb_sentinel::SloHandle;
 use sb_sim::Cycles;
-use sb_transport::{CallError, Request, Transport};
+use sb_transport::{Request, Transport};
 
 use crate::{
     load::RequestFactory,
-    queue::AdmissionPolicy,
+    serve::{Core, Outcome},
     stats::RunStats,
-    tenant::{Gate, TenantFabric, TenantRegistry},
+    tenant::{AdmissionPolicy, TenantFabric, TenantRegistry},
 };
 
 /// How the dispatcher retries failed calls.
@@ -46,9 +51,6 @@ impl Default for RetryPolicy {
         }
     }
 }
-
-/// Longest injected deadline-storm window, in cycles.
-const STORM_WINDOW_MAX: Cycles = 20_000;
 
 /// Dispatcher knobs.
 #[derive(Debug, Clone)]
@@ -108,15 +110,7 @@ impl Default for RuntimeConfig {
 /// A dispatcher bound to a transport.
 pub struct ServerRuntime<'a, T: Transport + ?Sized> {
     transport: &'a mut T,
-    cfg: RuntimeConfig,
-    /// Active/past injected deadline storms as `[start, end]` windows of
-    /// arrival time: requests arriving inside one see their effective
-    /// queue deadline collapse to zero.
-    storms: Vec<(Cycles, Cycles)>,
-    /// The tenant scheduling fabric. Lives on the runtime (not the run)
-    /// so per-tenant SLO state and the action log persist across runs
-    /// and are inspectable afterwards via [`ServerRuntime::fabric`].
-    fabric: TenantFabric,
+    core: Core,
 }
 
 impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
@@ -124,63 +118,15 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
     /// configured recorder down so call-path spans and dispatcher events
     /// land in the same trace.
     pub fn new(transport: &'a mut T, cfg: RuntimeConfig) -> Self {
-        assert!(transport.lanes() > 0);
-        transport.attach_recorder(cfg.recorder.clone());
-        let registry = cfg
-            .tenants
-            .clone()
-            .unwrap_or_else(|| TenantRegistry::single(cfg.queue_capacity, cfg.policy));
-        ServerRuntime {
-            transport,
-            cfg,
-            storms: Vec::new(),
-            fabric: TenantFabric::new(registry),
-        }
+        let capacity = cfg.queue_capacity;
+        let core = Core::new(transport, cfg, capacity);
+        ServerRuntime { transport, core }
     }
 
     /// The tenant fabric: per-tenant SLO health, quarantine state, and
     /// the SLO-burn action log accumulated over this runtime's runs.
     pub fn fabric(&self) -> &TenantFabric {
-        &self.fabric
-    }
-
-    /// At each admission: maybe start a deadline storm at `t`. A storm is
-    /// detected the moment it starts (the collapsed deadline is the
-    /// dispatcher's own machinery) and recovered when the run's final
-    /// drain has flushed every stale request ([`RunStats::seal`] time).
-    fn maybe_storm(&mut self, t: Cycles) {
-        let Some(f) = &self.cfg.faults else { return };
-        if self.storms.iter().any(|&(s, e)| t >= s && t <= e) {
-            return; // One storm at a time.
-        }
-        if f.fire(FaultPoint::DeadlineStorm) {
-            let len = 1 + f.draw(STORM_WINDOW_MAX);
-            f.detected(FaultPoint::DeadlineStorm);
-            self.storms.push((t, t.saturating_add(len)));
-        }
-    }
-
-    /// The queue deadline in force for `req`: zero inside a storm window.
-    fn effective_deadline(&self, arrival: Cycles) -> Option<Cycles> {
-        if self
-            .storms
-            .iter()
-            .any(|&(s, e)| arrival >= s && arrival <= e)
-        {
-            return Some(0);
-        }
-        self.cfg.queue_deadline
-    }
-
-    /// Closes out a run: every storm window has passed and the queue has
-    /// drained, so outstanding storm instances are recovered.
-    fn settle_storms(&mut self) {
-        if let Some(f) = &self.cfg.faults {
-            if !self.storms.is_empty() {
-                f.recover_all(FaultPoint::DeadlineStorm);
-            }
-        }
-        self.storms.clear();
+        &self.core.fabric
     }
 
     /// The earliest-free lane and its clock.
@@ -196,8 +142,9 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
     }
 
     /// Runs `req` on lane `l` (idling the lane to the arrival first),
-    /// applying the queue deadline and recording the outcome. Closed-loop
-    /// completions are reported through `completions`.
+    /// applying the queue deadline and the retry policy, and records the
+    /// outcome. Closed-loop completions are reported through
+    /// `completions`.
     fn serve_one(
         &mut self,
         l: usize,
@@ -207,118 +154,35 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
     ) {
         self.transport.wait_until(l, req.arrival);
         let start = self.transport.now(l);
-        let client = req.client;
-        self.cfg.recorder.note_tenant(l, req.tenant);
+        let rec = &self.core.cfg.recorder;
+        rec.note_tenant(l, req.tenant);
         if start > req.arrival {
             // Time between arrival and service start is queueing delay —
             // recorded against the serving lane, outside the call span.
-            self.cfg
-                .recorder
-                .span(l, SpanKind::QueueWait, req.arrival, start, req.id);
+            rec.span(l, SpanKind::QueueWait, req.arrival, start, req.id);
         }
         let past_deadline = self
-            .effective_deadline(req.arrival)
+            .core
+            .deadline(req.arrival)
             .is_some_and(|d| start - req.arrival > d);
-        if past_deadline {
-            stats.shed_deadline += 1;
-            stats.tenant_mut(req.tenant).shed_deadline += 1;
-            self.cfg
-                .recorder
-                .instant(l, InstantKind::ShedDeadline, start, req.id);
-            if let Some(slo) = &self.cfg.slo {
-                slo.error(start);
-            }
-            self.fabric.error(req.tenant, start);
+        let outcome = if past_deadline {
+            Outcome::ShedDeadline(l)
         } else {
-            match self.call_with_retries(l, &req, stats) {
-                Ok(()) => {
-                    let done = self.transport.now(l);
-                    stats.completed += 1;
-                    stats.latencies.push_tagged(done - req.arrival, req.id);
-                    stats.busy[l] += done - start;
-                    let ts = stats.tenant_mut(req.tenant);
-                    ts.completed += 1;
-                    ts.latencies.push_tagged(done - req.arrival, req.id);
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.complete(done, done - req.arrival);
-                    }
-                    self.fabric.complete(req.tenant, done, done - req.arrival);
-                }
-                Err(CallError::Timeout { .. }) => {
-                    stats.timed_out += 1;
-                    stats.tenant_mut(req.tenant).timed_out += 1;
-                    stats.busy[l] += self.transport.now(l) - start;
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.error(self.transport.now(l));
-                    }
-                    let t = self.transport.now(l);
-                    self.fabric.error(req.tenant, t);
-                }
-                Err(CallError::Failed(_) | CallError::CorrMismatch { .. }) => {
-                    stats.failed += 1;
-                    stats.tenant_mut(req.tenant).failed += 1;
-                    stats.busy[l] += self.transport.now(l) - start;
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.error(self.transport.now(l));
-                    }
-                    let t = self.transport.now(l);
-                    self.fabric.error(req.tenant, t);
-                }
+            let mut res = self.transport.call(l, &req);
+            for attempt in 0..self.core.max_retries() {
+                let Err(e) = &res else { break };
+                self.core
+                    .retry(self.transport, l, e, attempt, req.id, stats);
+                res = self.transport.call(l, &req);
             }
-        }
-        if let Some(c) = client {
-            completions.push((c, self.transport.now(l)));
-        }
-    }
-
-    /// One call plus the configured retry policy: exponential backoff
-    /// (idle lane time) before each re-attempt, and — for failures, the
-    /// recoverable class (crashed server, broken binding) — the
-    /// transport's recovery path (revive + rebind / respawn) before
-    /// retrying.
-    fn call_with_retries(
-        &mut self,
-        l: usize,
-        req: &Request,
-        stats: &mut RunStats,
-    ) -> Result<(), CallError> {
-        let mut last = match self.transport.call(l, req) {
-            Ok(_) => return Ok(()),
-            Err(e) => e,
+            stats.busy[l] += self.transport.now(l) - start;
+            res.map_or_else(|e| Outcome::of(&e), |_| Outcome::Completed)
         };
-        let Some(policy) = self.cfg.retry.clone() else {
-            return Err(last);
-        };
-        for attempt in 0..policy.max_retries {
-            // A correlation mismatch means the lane holds a stale reply:
-            // the serving path is suspect, so it takes the same
-            // recover-then-retry route as an outright failure.
-            if matches!(last, CallError::Failed(_) | CallError::CorrMismatch { .. })
-                && self.transport.recover(l)
-            {
-                stats.recoveries += 1;
-                let t = self.transport.now(l);
-                self.cfg
-                    .recorder
-                    .instant(l, InstantKind::Recovery, t, req.id);
-            }
-            let backoff = policy.backoff_base << attempt.min(32);
-            let t = self.transport.now(l);
-            self.transport.wait_until(l, t.saturating_add(backoff));
-            let woke = self.transport.now(l);
-            self.cfg
-                .recorder
-                .span(l, SpanKind::Backoff, t, woke, req.id);
-            self.cfg
-                .recorder
-                .instant(l, InstantKind::Retry, woke, req.id);
-            stats.retries += 1;
-            match self.transport.call(l, req) {
-                Ok(_) => return Ok(()),
-                Err(e) => last = e,
-            }
+        let done = self.transport.now(l);
+        self.core.record(stats, outcome, &req, done);
+        if let Some(c) = req.client {
+            completions.push((c, done));
         }
-        Err(last)
     }
 
     /// Starts queued requests in fabric (DRR) order, earliest-free lane
@@ -331,108 +195,58 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
         stats: &mut RunStats,
         completions: &mut Vec<(usize, Cycles)>,
     ) {
-        while !self.fabric.is_empty() {
+        while !self.core.fabric.is_empty() {
             let (l, t) = self.min_lane();
             if t > horizon {
                 break;
             }
-            let req = self.fabric.pop().expect("checked non-empty");
+            let req = self.core.fabric.pop().expect("checked non-empty");
             self.serve_one(l, req, stats, completions);
         }
     }
 
-    /// Shed-at-the-gate bookkeeping for an arrival the fabric's rate
-    /// limit or quarantine window refused.
-    fn shed_rate_limited(&mut self, req: &Request, t: Cycles, stats: &mut RunStats) {
-        stats.shed_rate_limit += 1;
-        stats.tenant_mut(req.tenant).shed_rate_limit += 1;
-        self.cfg.recorder.instant(
-            self.transport.lanes(),
-            InstantKind::ShedRateLimit,
-            t,
-            req.id,
-        );
-        if let Some(slo) = &self.cfg.slo {
-            slo.error(t);
-        }
-        self.fabric.error(req.tenant, t);
-    }
-
-    /// Admits `req` under its tenant's policy, given that tenant's lane
-    /// is full. Returns `true` when the request was consumed (shed or
-    /// served directly) and must not be queued by the caller.
-    fn admit_full(
+    /// Queues a gated arrival on its tenant's lane, stamping the
+    /// admission on the queue's pseudo-lane. A full lane applies the
+    /// tenant's policy first. Returns `false` when the arrival was shed.
+    fn admit(
         &mut self,
-        req: &mut Option<Request>,
+        req: Request,
         stats: &mut RunStats,
         completions: &mut Vec<(usize, Cycles)>,
     ) -> bool {
-        let tenant = req.as_ref().expect("arrival present").tenant;
-        match self.fabric.policy(tenant) {
-            AdmissionPolicy::Shed => {
-                stats.shed_queue_full += 1;
-                stats.tenant_mut(tenant).shed_queue_full += 1;
-                if let Some(r) = req.as_ref() {
-                    self.cfg.recorder.instant(
-                        self.transport.lanes(),
-                        InstantKind::ShedQueueFull,
-                        r.arrival,
-                        r.id,
-                    );
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.error(r.arrival);
-                    }
-                    self.fabric.error(tenant, r.arrival);
+        let tenant = req.tenant;
+        if self.core.fabric.is_full(tenant) {
+            match self.core.fabric.policy(tenant) {
+                AdmissionPolicy::Shed => {
+                    self.core
+                        .record(stats, Outcome::ShedQueueFull, &req, req.arrival);
+                    return false;
                 }
-                *req = None;
-                true
-            }
-            AdmissionPolicy::Block => {
-                if self.fabric.capacity(tenant) == 0 {
+                AdmissionPolicy::Block if self.core.fabric.capacity(tenant) == 0 => {
                     // No slot can ever free: the arrival rendezvouses
                     // directly with the earliest-free lane.
                     let (l, _) = self.min_lane();
-                    let r = req.take().expect("arrival present");
-                    self.serve_one(l, r, stats, completions);
+                    self.serve_one(l, req, stats, completions);
                     return true;
                 }
                 // Free a slot in this tenant's lane by force-running
                 // fabric-scheduled requests on the earliest-free lane.
                 // DRR rotation reaches every backlogged tenant, so the
                 // loop always terminates.
-                while self.fabric.is_full(tenant) {
-                    let (l, _) = self.min_lane();
-                    let r = self.fabric.pop().expect("full lane implies work");
-                    self.serve_one(l, r, stats, completions);
+                AdmissionPolicy::Block => {
+                    while self.core.fabric.is_full(tenant) {
+                        let (l, _) = self.min_lane();
+                        let r = self.core.fabric.pop().expect("full lane implies work");
+                        self.serve_one(l, r, stats, completions);
+                    }
                 }
-                false
             }
         }
-    }
-
-    /// Queues `req` on its tenant's lane, stamping the admission on the
-    /// dispatcher's pseudo-lane (`transport.lanes()` — the queue has no
-    /// core of its own).
-    fn admit(&mut self, req: Request) {
-        self.cfg.recorder.instant(
-            self.transport.lanes(),
-            InstantKind::QueueAdmit,
-            req.arrival,
-            req.id,
-        );
-        self.fabric.push(req);
-    }
-
-    /// The instant the server is ready: the latest lane clock. Transport
-    /// setup (boot, registration, binary rewriting) runs on the same
-    /// simulated cores that serve requests, so lane clocks are well past
-    /// zero when a run starts; arrival times are offsets from this epoch,
-    /// not from machine power-on.
-    fn epoch(&mut self) -> Cycles {
-        (0..self.transport.lanes())
-            .map(|l| self.transport.now(l))
-            .max()
-            .unwrap_or(0)
+        let (lane, rec) = (self.core.queue_lane, &self.core.cfg.recorder);
+        rec.instant(lane, InstantKind::QueueAdmit, req.arrival, req.id);
+        self.core.fabric.push(req);
+        stats.max_queue_depth = stats.max_queue_depth.max(self.core.fabric.len());
+        true
     }
 
     /// Open-loop run: `arrivals` yields monotone arrival times relative to
@@ -444,10 +258,8 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
     where
         I: IntoIterator<Item = Cycles>,
     {
-        let mut stats = RunStats::new(self.transport.label(), self.transport.lanes());
-        let copied_at_start = self.transport.bytes_copied();
+        let (mut stats, epoch) = self.core.begin(self.transport);
         let mut completions = Vec::new();
-        let epoch = self.epoch();
         let mut first = None;
         let mut clock = 0;
         for t in arrivals {
@@ -455,40 +267,14 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
             clock = t;
             first.get_or_insert(t);
             let req = factory.make(t, None);
-            stats.offered += 1;
-            stats.tenant_mut(req.tenant).offered += 1;
-            self.maybe_storm(t);
+            self.core.offer(&mut stats, &req);
             self.drain_until(t, &mut stats, &mut completions);
-            if self.fabric.gate(req.tenant, t) != Gate::Admit {
-                self.shed_rate_limited(&req, t, &mut stats);
-                continue;
+            if self.core.gate(&mut stats, &req) {
+                self.admit(req, &mut stats, &mut completions);
             }
-            if self.fabric.is_full(req.tenant) {
-                let mut req = Some(req);
-                if self.admit_full(&mut req, &mut stats, &mut completions) {
-                    continue;
-                }
-                let r = req.take().expect("not consumed");
-                self.admit(r);
-            } else {
-                self.admit(req);
-            }
-            stats.max_queue_depth = stats.max_queue_depth.max(self.fabric.len());
         }
         self.drain_until(Cycles::MAX, &mut stats, &mut completions);
-        self.settle_storms();
-        stats.start = first.unwrap_or(0);
-        stats.end = (0..self.transport.lanes())
-            .map(|l| self.transport.now(l))
-            .max()
-            .unwrap_or(0);
-        stats.bytes_copied = self.transport.bytes_copied() - copied_at_start;
-        if let Some(slo) = &self.cfg.slo {
-            slo.tick(stats.end);
-        }
-        self.fabric.tick(stats.end);
-        stats.seal();
-        stats
+        self.core.finish(self.transport, stats, first.unwrap_or(0))
     }
 
     /// Closed-loop run: `clients` issuers each keep exactly one request in
@@ -504,10 +290,8 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
         factory: &mut RequestFactory,
     ) -> RunStats {
         assert!(clients > 0);
-        let mut stats = RunStats::new(self.transport.label(), self.transport.lanes());
-        let copied_at_start = self.transport.bytes_copied();
+        let (mut stats, epoch) = self.core.begin(self.transport);
         let mut completions: Vec<(usize, Cycles)> = Vec::new();
-        let epoch = self.epoch();
         // One-cycle stagger breaks the all-at-once tie deterministically.
         let mut ready: BinaryHeap<Reverse<(Cycles, usize)>> = (0..clients)
             .map(|c| Reverse((epoch + c as Cycles, c)))
@@ -520,7 +304,7 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
                 }
             }
             let Some(&Reverse((t, c))) = ready.peek() else {
-                if self.fabric.is_empty() {
+                if self.core.fabric.is_empty() {
                     break;
                 }
                 self.drain_until(Cycles::MAX, &mut stats, &mut completions);
@@ -533,52 +317,18 @@ impl<'a, T: Transport + ?Sized> ServerRuntime<'a, T> {
                 continue;
             }
             ready.pop();
-            stats.offered += 1;
             remaining[c] -= 1;
-            self.maybe_storm(t);
             let req = factory.make(t, Some(c));
-            stats.tenant_mut(req.tenant).offered += 1;
-            if self.fabric.gate(req.tenant, t) != Gate::Admit {
-                self.shed_rate_limited(&req, t, &mut stats);
-                // Like a shed, the client retries its next op after a
-                // think pause rather than stopping forever.
-                if remaining[c] > 0 {
-                    ready.push(Reverse((t.saturating_add(think.max(1)), c)));
-                }
-                continue;
+            self.core.offer(&mut stats, &req);
+            let admitted =
+                self.core.gate(&mut stats, &req) && self.admit(req, &mut stats, &mut completions);
+            // A shed client retries its next op after a think pause
+            // rather than stopping forever.
+            if !admitted && remaining[c] > 0 {
+                ready.push(Reverse((t.saturating_add(think.max(1)), c)));
             }
-            if self.fabric.is_full(req.tenant) {
-                let tenant = req.tenant;
-                let mut req = Some(req);
-                if self.admit_full(&mut req, &mut stats, &mut completions) {
-                    if req.is_none()
-                        && matches!(self.fabric.policy(tenant), AdmissionPolicy::Shed)
-                        && remaining[c] > 0
-                    {
-                        ready.push(Reverse((t.saturating_add(think.max(1)), c)));
-                    }
-                    continue;
-                }
-                let r = req.take().expect("not consumed");
-                self.admit(r);
-            } else {
-                self.admit(req);
-            }
-            stats.max_queue_depth = stats.max_queue_depth.max(self.fabric.len());
         }
-        self.settle_storms();
-        stats.start = epoch;
-        stats.end = (0..self.transport.lanes())
-            .map(|l| self.transport.now(l))
-            .max()
-            .unwrap_or(0);
-        stats.bytes_copied = self.transport.bytes_copied() - copied_at_start;
-        if let Some(slo) = &self.cfg.slo {
-            slo.tick(stats.end);
-        }
-        self.fabric.tick(stats.end);
-        stats.seal();
-        stats
+        self.core.finish(self.transport, stats, epoch)
     }
 }
 

@@ -18,11 +18,17 @@
 //!   flips in a single address space; `FixedServiceTransport` is the
 //!   synthetic backend for dispatcher tests, and [`Faulty`] wraps any of
 //!   them with the chaos fault plane.
-//! * [`ServerRuntime`] — a discrete-event dispatcher: one bounded
-//!   [`queue::DispatchQueue`] per server, admission control
-//!   ([`AdmissionPolicy::Shed`] vs [`AdmissionPolicy::Block`]), optional
-//!   queue deadlines, and per-call DoS-timeout budgets via the existing
-//!   `skybridge` §7 machinery.
+//! * [`ServerRuntime`] — a discrete-event dispatcher: per-tenant bounded
+//!   queues in a [`TenantFabric`] drained onto the earliest-free lane,
+//!   admission control ([`AdmissionPolicy::Shed`] vs
+//!   [`AdmissionPolicy::Block`]), optional queue deadlines, and per-call
+//!   DoS-timeout budgets via the existing `skybridge` §7 machinery.
+//! * [`RingRuntime`] — the same server over [`RingTransport`] submission
+//!   rings: the ring is the queue, and an adaptive doorbell batches
+//!   crossings under load.
+//! * Both runtimes share one private serving core: the tenant gate,
+//!   deadline storms, retries with recovery and backoff, and outcome
+//!   accounting into [`RunStats`], the SLO tracker and the fabric.
 //! * [`PoissonArrivals`] / [`RequestFactory`] — open-loop Poisson and
 //!   closed-loop load generation over `sb-ycsb` key mixes.
 //! * [`RunStats`] — throughput, p50/p95/p99 latency in simulated cycles,
@@ -32,9 +38,8 @@
 
 pub mod dispatch;
 pub mod load;
-pub mod queue;
 pub mod ring_run;
-pub mod service;
+mod serve;
 pub mod sky;
 pub mod stats;
 pub mod tenant;
@@ -43,18 +48,18 @@ pub mod trap;
 pub use sb_observe::Recorder;
 pub use sb_sentinel::{SloHandle, SloSpec};
 pub use sb_transport::{
-    CallError, Faulty, FixedServiceTransport, MpkTransport, Request, RingConfig, RingTransport,
-    TenantId, Transport,
+    service::ServiceSpec, CallError, Faulty, FixedServiceTransport, MpkTransport, Request,
+    RingConfig, RingTransport, TenantId, Transport,
 };
 
 pub use crate::{
     dispatch::{RetryPolicy, RuntimeConfig, ServerRuntime},
     load::{PoissonArrivals, RequestFactory},
-    queue::AdmissionPolicy,
     ring_run::RingRuntime,
-    service::ServiceSpec,
     sky::SkyBridgeTransport,
     stats::{LatencyTrack, RunStats, TenantStats, EXACT_LATENCY_CAP},
-    tenant::{Gate, RateLimit, TenantAction, TenantFabric, TenantRegistry, TenantSpec},
+    tenant::{
+        AdmissionPolicy, Gate, RateLimit, TenantAction, TenantFabric, TenantRegistry, TenantSpec,
+    },
     trap::TrapIpcTransport,
 };

@@ -18,13 +18,14 @@
 //! to the budget, and everything between interpolates.
 //!
 //! Admission, deadlines and SLO accounting keep their per-request
-//! semantics: a full submission ring sheds (or, under
+//! semantics, and run through the same serving core (`serve.rs`) as
+//! direct mode: a full submission ring sheds (or, under
 //! [`AdmissionPolicy::Block`], pumps the lane until a slot frees); the
 //! queue deadline travels in the wire header as an absolute cycle
 //! stamp and an expired frame completes as `CallError::Timeout` at
 //! batch-cut time — counted as `shed_deadline`, burning no service
 //! time, exactly like direct mode's start-time check; every completion
-//! and error lands in the [`SloHandle`] as it is reaped.
+//! and error is recorded as it is reaped.
 //!
 //! Tenancy: arrivals pass the [`TenantFabric`] gate (rate limits,
 //! quarantine windows) before touching a ring, and once a lane is
@@ -36,36 +37,29 @@
 
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
-use sb_faultplane::FaultPoint;
-use sb_observe::{InstantKind, SpanKind};
+use sb_observe::InstantKind;
 use sb_sim::Cycles;
-use sb_transport::{CallError, Request, RingTransport, TenantId, Transport};
+use sb_transport::{Request, RingTransport, TenantId, Transport};
 
 use crate::{
     dispatch::RuntimeConfig,
     load::RequestFactory,
-    queue::AdmissionPolicy,
+    serve::{Core, Outcome},
     stats::RunStats,
-    tenant::{Gate, TenantFabric, TenantRegistry},
+    tenant::{AdmissionPolicy, TenantFabric},
 };
-
-/// Longest injected deadline-storm window, in cycles (mirrors the
-/// direct dispatcher's constant).
-const STORM_WINDOW_MAX: Cycles = 20_000;
 
 /// A ring-mode dispatcher bound to a [`RingTransport`].
 pub struct RingRuntime<'a, T: Transport> {
     ring: &'a mut RingTransport<T>,
-    cfg: RuntimeConfig,
-    storms: Vec<(Cycles, Cycles)>,
+    /// The serving core. Its fabric's queues are unused here — the
+    /// submission ring is the queue.
+    core: Core,
     /// Outstanding submissions: corr → (request, attempts so far).
     inflight: HashMap<u64, (Request, u32)>,
     /// Latest submit stamp per lane — a doorbell never rings before the
     /// frames it would drain were submitted.
     last_submit: Vec<Cycles>,
-    /// The tenant gate/SLO machinery (its queues are unused here — the
-    /// submission ring is the queue).
-    fabric: TenantFabric,
     /// Submission slots currently held, per (lane, tenant).
     held: BTreeMap<(usize, TenantId), usize>,
     /// Tenants seen so far; `total_weight` sums their registry weights
@@ -80,20 +74,12 @@ impl<'a, T: Transport> RingRuntime<'a, T> {
     /// capacity (fixed at [`RingTransport`] construction) bounds
     /// admitted-but-unserved requests instead.
     pub fn new(ring: &'a mut RingTransport<T>, cfg: RuntimeConfig) -> Self {
-        assert!(ring.lanes() > 0);
-        ring.attach_recorder(cfg.recorder.clone());
-        let lanes = ring.lanes();
-        let registry = cfg
-            .tenants
-            .clone()
-            .unwrap_or_else(|| TenantRegistry::single(usize::MAX, cfg.policy));
+        let core = Core::new(ring, cfg, usize::MAX);
         RingRuntime {
+            last_submit: vec![0; ring.lanes()],
             ring,
-            cfg,
-            storms: Vec::new(),
+            core,
             inflight: HashMap::new(),
-            last_submit: vec![0; lanes],
-            fabric: TenantFabric::new(registry),
             held: BTreeMap::new(),
             seen: BTreeSet::new(),
             total_weight: 0,
@@ -103,12 +89,12 @@ impl<'a, T: Transport> RingRuntime<'a, T> {
     /// The tenant fabric: per-tenant SLO health, quarantine state, and
     /// the SLO-burn action log accumulated over this runtime's runs.
     pub fn fabric(&self) -> &TenantFabric {
-        &self.fabric
+        &self.core.fabric
     }
 
     fn note_tenant(&mut self, id: TenantId) {
         if self.seen.insert(id) {
-            self.total_weight += self.fabric.registry().weight(id);
+            self.total_weight += self.core.fabric.registry().weight(id);
         }
     }
 
@@ -116,7 +102,7 @@ impl<'a, T: Transport> RingRuntime<'a, T> {
     /// lane is batching: its weight's share of the ring, at least one.
     fn share(&self, id: TenantId) -> usize {
         let capacity = self.ring.config().capacity as u64;
-        let w = self.fabric.registry().weight(id);
+        let w = self.core.fabric.registry().weight(id);
         ((capacity * w) / self.total_weight.max(1)).max(1) as usize
     }
 
@@ -133,42 +119,23 @@ impl<'a, T: Transport> RingRuntime<'a, T> {
             && self.held(lane, id) >= self.share(id)
     }
 
-    fn maybe_storm(&mut self, t: Cycles) {
-        let Some(f) = &self.cfg.faults else { return };
-        if self.storms.iter().any(|&(s, e)| t >= s && t <= e) {
-            return;
-        }
-        if f.fire(FaultPoint::DeadlineStorm) {
-            let len = 1 + f.draw(STORM_WINDOW_MAX);
-            f.detected(FaultPoint::DeadlineStorm);
-            self.storms.push((t, t.saturating_add(len)));
-        }
+    /// Submits `req` into `lane`'s ring. The queue deadline travels as
+    /// an absolute wire stamp (floored at 1; 0 = none). Returns whether
+    /// the ring took it.
+    fn submit(&mut self, lane: usize, req: &Request) -> bool {
+        let deadline = self
+            .core
+            .deadline(req.arrival)
+            .map_or(0, |d| req.arrival.saturating_add(d).max(1));
+        self.ring.submit_with_deadline(lane, req, deadline).is_ok()
     }
 
-    fn settle_storms(&mut self) {
-        if let Some(f) = &self.cfg.faults {
-            if !self.storms.is_empty() {
-                f.recover_all(FaultPoint::DeadlineStorm);
-            }
-        }
-        self.storms.clear();
-    }
-
-    /// The absolute wire deadline for an arrival at `t` (0 = none).
-    /// Inside a storm window the queue deadline collapses to zero — the
-    /// frame expires the moment anything else delays its batch.
-    fn wire_deadline(&self, arrival: Cycles) -> Cycles {
-        let collapsed = self
-            .storms
-            .iter()
-            .any(|&(s, e)| arrival >= s && arrival <= e);
-        if collapsed {
-            return arrival.max(1);
-        }
-        match self.cfg.queue_deadline {
-            Some(d) => arrival.saturating_add(d).max(1),
-            None => 0,
-        }
+    /// Tracks a submitted `req` (stamped `at`) until its completion is
+    /// reaped.
+    fn track(&mut self, lane: usize, req: Request, attempts: u32, at: Cycles) {
+        self.last_submit[lane] = self.last_submit[lane].max(at);
+        *self.held.entry((lane, req.tenant)).or_insert(0) += 1;
+        self.inflight.insert(req.id, (req, attempts));
     }
 
     /// The lane a fresh arrival submits to: least-occupied ring first,
@@ -199,7 +166,9 @@ impl<'a, T: Transport> RingRuntime<'a, T> {
         self.reap(lane, stats);
     }
 
-    /// Pops and accounts every completion waiting on `lane`.
+    /// Pops and accounts every completion waiting on `lane`. An expired
+    /// frame completes as a deadline shed at batch-cut time, burning no
+    /// service time, exactly like direct mode's start-time check.
     fn reap(&mut self, lane: usize, stats: &mut RunStats) {
         let mut resubmit: Vec<(Request, u32)> = Vec::new();
         while let Some(c) = self.ring.pop_completion(lane) {
@@ -211,100 +180,30 @@ impl<'a, T: Transport> RingRuntime<'a, T> {
             if let Some(h) = self.held.get_mut(&(lane, req.tenant)) {
                 *h = h.saturating_sub(1);
             }
-            if c.expired {
-                stats.shed_deadline += 1;
-                stats.tenant_mut(req.tenant).shed_deadline += 1;
-                self.cfg
-                    .recorder
-                    .instant(lane, InstantKind::ShedDeadline, now, c.corr);
-                if let Some(slo) = &self.cfg.slo {
-                    slo.error(now);
+            let outcome = match c.result {
+                _ if c.expired => Outcome::ShedDeadline(lane),
+                Ok(_) => Outcome::Completed,
+                Err(e) if attempts < self.core.max_retries() => {
+                    self.core
+                        .retry(self.ring, lane, &e, attempts, req.id, stats);
+                    resubmit.push((req, attempts + 1));
+                    continue;
                 }
-                self.fabric.error(req.tenant, now);
-                continue;
-            }
-            match c.result {
-                Ok(_) => {
-                    stats.completed += 1;
-                    stats.latencies.push_tagged(now - req.arrival, c.corr);
-                    let ts = stats.tenant_mut(req.tenant);
-                    ts.completed += 1;
-                    ts.latencies.push_tagged(now - req.arrival, c.corr);
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.complete(now, now - req.arrival);
-                    }
-                    self.fabric.complete(req.tenant, now, now - req.arrival);
-                }
-                Err(ref e) => {
-                    let retriable = self
-                        .cfg
-                        .retry
-                        .as_ref()
-                        .is_some_and(|p| attempts < p.max_retries);
-                    if retriable {
-                        let policy = self.cfg.retry.clone().expect("checked");
-                        if matches!(e, CallError::Failed(_) | CallError::CorrMismatch { .. })
-                            && self.ring.recover(lane)
-                        {
-                            stats.recoveries += 1;
-                            let t = self.ring.now(lane);
-                            self.cfg
-                                .recorder
-                                .instant(lane, InstantKind::Recovery, t, c.corr);
-                        }
-                        let backoff = policy.backoff_base << attempts.min(32);
-                        let t = self.ring.now(lane);
-                        self.ring.wait_until(lane, t.saturating_add(backoff));
-                        let woke = self.ring.now(lane);
-                        self.cfg
-                            .recorder
-                            .span(lane, SpanKind::Backoff, t, woke, c.corr);
-                        self.cfg
-                            .recorder
-                            .instant(lane, InstantKind::Retry, woke, c.corr);
-                        stats.retries += 1;
-                        resubmit.push((req, attempts + 1));
-                    } else {
-                        match e {
-                            CallError::Timeout { .. } => {
-                                stats.timed_out += 1;
-                                stats.tenant_mut(req.tenant).timed_out += 1;
-                            }
-                            _ => {
-                                stats.failed += 1;
-                                stats.tenant_mut(req.tenant).failed += 1;
-                            }
-                        }
-                        if let Some(slo) = &self.cfg.slo {
-                            slo.error(now);
-                        }
-                        self.fabric.error(req.tenant, now);
-                    }
-                }
-            }
+                Err(e) => Outcome::of(&e),
+            };
+            self.core.record(stats, outcome, &req, now);
         }
         // Re-queue retries. The doorbell freed at least as many slots
         // as it posted completions, so these always fit; a refused
         // resubmission would be a bookkeeping bug, not load.
         for (req, attempts) in resubmit {
-            let deadline = self.wire_deadline(req.arrival);
             let t = self.ring.now(lane);
-            self.last_submit[lane] = self.last_submit[lane].max(t);
-            match self.ring.submit_with_deadline(lane, &req, deadline) {
-                Ok(()) => {
-                    // Retries may briefly exceed a tenant's share; the
-                    // cap applies to fresh admissions only.
-                    *self.held.entry((lane, req.tenant)).or_insert(0) += 1;
-                    self.inflight.insert(req.id, (req, attempts));
-                }
-                Err(_) => {
-                    stats.failed += 1;
-                    stats.tenant_mut(req.tenant).failed += 1;
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.error(t);
-                    }
-                    self.fabric.error(req.tenant, t);
-                }
+            if self.submit(lane, &req) {
+                // Retries may briefly exceed a tenant's share; the cap
+                // applies to fresh admissions only.
+                self.track(lane, req, attempts, t);
+            } else {
+                self.core.record(stats, Outcome::Failed, &req, t);
             }
         }
     }
@@ -337,10 +236,7 @@ impl<'a, T: Transport> RingRuntime<'a, T> {
     where
         I: IntoIterator<Item = Cycles>,
     {
-        let lanes = self.ring.lanes();
-        let mut stats = RunStats::new(self.ring.label(), lanes);
-        let copied_at_start = self.ring.bytes_copied();
-        let epoch = (0..lanes).map(|l| self.ring.now(l)).max().unwrap_or(0);
+        let (mut stats, epoch) = self.core.begin(self.ring);
         let budget = self.ring.config().batch_budget.max(1);
         let mut first = None;
         let mut clock = 0;
@@ -348,126 +244,67 @@ impl<'a, T: Transport> RingRuntime<'a, T> {
             let t = t.saturating_add(epoch).max(clock);
             clock = t;
             first.get_or_insert(t);
-            stats.offered += 1;
-            self.maybe_storm(t);
-            self.drain_idle_until(t, &mut stats);
             let req = factory.make(t, None);
-            stats.tenant_mut(req.tenant).offered += 1;
+            self.core.offer(&mut stats, &req);
+            self.drain_idle_until(t, &mut stats);
             self.note_tenant(req.tenant);
-            if self.fabric.gate(req.tenant, t) != Gate::Admit {
-                stats.shed_rate_limit += 1;
-                stats.tenant_mut(req.tenant).shed_rate_limit += 1;
-                self.cfg
-                    .recorder
-                    .instant(lanes, InstantKind::ShedRateLimit, t, req.id);
-                if let Some(slo) = &self.cfg.slo {
-                    slo.error(t);
-                }
-                self.fabric.error(req.tenant, t);
+            if !self.core.gate(&mut stats, &req) {
                 continue;
             }
             let lane = self.pick_lane();
-            self.cfg.recorder.note_tenant(lane, req.tenant);
-            let deadline = self.wire_deadline(t);
+            self.core.cfg.recorder.note_tenant(lane, req.tenant);
             // A tenant past its batch share is refused exactly like a
             // full ring — the slots it cannot take stay open for others.
-            let mut slot = if self.over_share(lane, req.tenant) {
-                Err(())
-            } else {
-                self.ring
-                    .submit_with_deadline(lane, &req, deadline)
-                    .map_err(|_| ())
-            };
-            if slot.is_err() {
-                match self.fabric.policy(req.tenant) {
-                    AdmissionPolicy::Shed => {
-                        stats.shed_queue_full += 1;
-                        stats.tenant_mut(req.tenant).shed_queue_full += 1;
-                        self.cfg
-                            .recorder
-                            .instant(lanes, InstantKind::ShedQueueFull, t, req.id);
-                        if let Some(slo) = &self.cfg.slo {
-                            slo.error(t);
-                        }
-                        self.fabric.error(req.tenant, t);
-                        continue;
-                    }
-                    AdmissionPolicy::Block => {
-                        // Pump the lane until a slot frees and the
-                        // tenant is back inside its share (retries are
-                        // bounded, so this terminates).
-                        while self.ring.sq_len(lane) >= self.ring.config().capacity
-                            || self.over_share(lane, req.tenant)
-                        {
-                            self.drain_lane(lane, &mut stats);
-                        }
-                        slot = self
-                            .ring
-                            .submit_with_deadline(lane, &req, deadline)
-                            .map_err(|_| ());
-                    }
+            let mut taken = !self.over_share(lane, req.tenant) && self.submit(lane, &req);
+            if !taken && self.core.fabric.policy(req.tenant) == AdmissionPolicy::Block {
+                // Pump the lane until a slot frees and the tenant is
+                // back inside its share (retries are bounded, so this
+                // terminates).
+                while self.ring.sq_len(lane) >= self.ring.config().capacity
+                    || self.over_share(lane, req.tenant)
+                {
+                    self.drain_lane(lane, &mut stats);
                 }
+                taken = self.submit(lane, &req);
             }
-            match slot {
-                Ok(()) => {
-                    self.cfg
-                        .recorder
-                        .instant(lanes, InstantKind::QueueAdmit, t, req.id);
-                    self.last_submit[lane] = self.last_submit[lane].max(t);
-                    *self.held.entry((lane, req.tenant)).or_insert(0) += 1;
-                    self.inflight.insert(req.id, (req, 0));
-                    stats.max_queue_depth = stats.max_queue_depth.max(self.ring.sq_len(lane));
-                    // An *idle* lane whose ring just reached the budget
-                    // is drained now — one crossing, one full batch. A
-                    // busy lane keeps accumulating: its slots only free
-                    // once the server consumes them, so back-pressure
-                    // (and shedding) works exactly like the direct
-                    // dispatch queue.
-                    if self.ring.sq_len(lane) >= budget
-                        && self.ring.now(lane).max(self.last_submit[lane]) <= t
-                    {
-                        self.drain_lane(lane, &mut stats);
-                    }
-                }
-                Err(_) => {
-                    // An oversized frame (or a zero-capacity ring): the
-                    // request cannot ever be admitted.
-                    stats.shed_queue_full += 1;
-                    stats.tenant_mut(req.tenant).shed_queue_full += 1;
-                    self.cfg
-                        .recorder
-                        .instant(lanes, InstantKind::ShedQueueFull, t, req.id);
-                    if let Some(slo) = &self.cfg.slo {
-                        slo.error(t);
-                    }
-                    self.fabric.error(req.tenant, t);
-                }
+            if !taken {
+                // Shed — or an oversized frame (or a zero-capacity
+                // ring): the request cannot ever be admitted.
+                self.core
+                    .record(&mut stats, Outcome::ShedQueueFull, &req, t);
+                continue;
+            }
+            let rec = &self.core.cfg.recorder;
+            rec.instant(self.core.queue_lane, InstantKind::QueueAdmit, t, req.id);
+            self.track(lane, req, 0, t);
+            stats.max_queue_depth = stats.max_queue_depth.max(self.ring.sq_len(lane));
+            // An *idle* lane whose ring just reached the budget is
+            // drained now — one crossing, one full batch. A busy lane
+            // keeps accumulating: its slots only free once the server
+            // consumes them, so back-pressure (and shedding) works
+            // exactly like the direct dispatch queue.
+            if self.ring.sq_len(lane) >= budget
+                && self.ring.now(lane).max(self.last_submit[lane]) <= t
+            {
+                self.drain_lane(lane, &mut stats);
             }
         }
         // Final drain: flush every ring (bounded retries terminate).
         self.drain_idle_until(Cycles::MAX, &mut stats);
-        for l in 0..lanes {
+        for l in 0..self.ring.lanes() {
             self.reap(l, &mut stats);
         }
         debug_assert!(
             self.inflight.is_empty(),
             "every submission reaps exactly one completion"
         );
-        self.settle_storms();
-        stats.start = first.unwrap_or(0);
-        stats.end = (0..lanes).map(|l| self.ring.now(l)).max().unwrap_or(0);
-        stats.bytes_copied = self.ring.bytes_copied() - copied_at_start;
-        if let Some(slo) = &self.cfg.slo {
-            slo.tick(stats.end);
-        }
-        self.fabric.tick(stats.end);
-        stats.seal();
-        stats
+        self.core.finish(self.ring, stats, first.unwrap_or(0))
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use sb_faultplane::FaultPoint;
     use sb_transport::{FixedServiceTransport, RingConfig};
     use sb_ycsb::WorkloadSpec;
 
@@ -589,5 +426,105 @@ mod tests {
         let rep = h.report();
         assert!(rep.injected() > 0);
         assert_eq!(rep.leaked(), 0, "{rep}");
+    }
+
+    #[test]
+    fn ring_slo_tracker_sees_every_outcome_class() {
+        use sb_sentinel::{SloHandle, SloSpec};
+
+        // One slow lane, a tiny ring, and a queue deadline: the run
+        // produces completions, ring-full sheds, and deadline expiries —
+        // all of which must land in the tracker.
+        let slo = SloHandle::new(SloSpec {
+            latency_objective: 1_500,
+            ..SloSpec::default()
+        });
+        let mut r = ring(1, 1_000, 2, 2);
+        let mut rt = RingRuntime::new(
+            &mut r,
+            RuntimeConfig {
+                queue_deadline: Some(5_000),
+                slo: Some(slo.clone()),
+                ..RuntimeConfig::default()
+            },
+        );
+        let arrivals: Vec<Cycles> = (0..100).map(|i| i * 100).collect();
+        let s = rt.run_open_loop(arrivals, &mut factory());
+        assert_conserved(&s);
+        assert!(s.completed > 0 && s.shed_queue_full > 0);
+        let h = slo.health();
+        assert_eq!(
+            h.good + h.bad,
+            s.offered,
+            "every offered request reaches the tracker: {h:?} vs {s:?}"
+        );
+        assert!(h.bad >= s.shed(), "sheds are never good");
+        assert!(slo.breached(), "sustained ring sheds must breach: {h:?}");
+    }
+
+    #[test]
+    fn ring_retry_policy_recovers_injected_crashes() {
+        use sb_faultplane::{FaultHandle, FaultMix};
+        use sb_transport::Faulty;
+
+        use crate::RetryPolicy;
+
+        let h = FaultHandle::new(0xc4a6, FaultMix::none().with(FaultPoint::HandlerPanic, 800));
+        let mut r = RingTransport::new(
+            Faulty::new(FixedServiceTransport::new(2, 100), h.clone(), 1_000),
+            RingConfig {
+                capacity: 32,
+                batch_budget: 8,
+                slot_bytes: 4096,
+            },
+        );
+        let mut rt = RingRuntime::new(
+            &mut r,
+            RuntimeConfig {
+                retry: Some(RetryPolicy::default()),
+                ..RuntimeConfig::default()
+            },
+        );
+        let arrivals: Vec<Cycles> = (0..300).map(|i| i * 200).collect();
+        let s = rt.run_open_loop(arrivals, &mut factory());
+        assert_conserved(&s);
+        assert!(s.retries > 0, "an 8% crash rate over 300 calls must retry");
+        assert!(s.recoveries > 0, "crashed lanes must be repaired");
+        assert!(
+            s.completed > s.offered - s.offered / 10,
+            "retry-with-recovery should complete nearly everything: {s:?}"
+        );
+        // Close any lane still dead at end-of-run, then audit the ledger.
+        h.disarm();
+        for l in 0..2 {
+            r.recover(l);
+        }
+        let rep = h.report();
+        assert!(rep.injected() > 0, "the mix must actually have fired");
+        assert_eq!(rep.leaked(), 0, "{rep}");
+    }
+
+    #[test]
+    fn ring_retries_fail_fast_without_a_policy() {
+        use sb_faultplane::{FaultHandle, FaultMix};
+        use sb_transport::Faulty;
+
+        // Crash on (nearly) every call with no retry policy: failures
+        // surface directly and the run conserves through `failed`.
+        let h = FaultHandle::new(7, FaultMix::none().with(FaultPoint::HandlerPanic, 10_000));
+        let mut r = RingTransport::new(
+            Faulty::new(FixedServiceTransport::new(1, 100), h.clone(), 1_000),
+            RingConfig {
+                capacity: 8,
+                batch_budget: 4,
+                slot_bytes: 4096,
+            },
+        );
+        let mut rt = RingRuntime::new(&mut r, RuntimeConfig::default());
+        let s = rt.run_open_loop(vec![0, 500, 1_000], &mut factory());
+        assert_eq!(s.completed, 0);
+        assert_eq!(s.failed, 3);
+        assert_eq!(s.retries, 0);
+        assert_conserved(&s);
     }
 }

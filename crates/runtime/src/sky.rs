@@ -23,13 +23,12 @@ use sb_observe::{Recorder, SpanKind};
 use sb_rewriter::corpus;
 use sb_sim::Cycles;
 use sb_transport::{
+    service::{ServiceSpec, DATA_BASE, RECORD_LINE},
     verify_reply_corr,
     wire::{Lane, OP_TAG_OFFSET},
     BatchComplete, CallError, CopyMeter, Request, Transport,
 };
 use skybridge::{HandlerReply, SbError, ServerId, SkyBridge};
-
-use crate::service::{ServiceSpec, DATA_BASE, RECORD_LINE};
 
 /// The SkyBridge transport.
 pub struct SkyBridgeTransport {

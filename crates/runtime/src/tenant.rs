@@ -1,6 +1,6 @@
 //! The tenant fabric: per-tenant weighted-fair lanes behind one server.
 //!
-//! The single global [`DispatchQueue`](crate::queue::DispatchQueue) gave
+//! A single global dispatch queue gives
 //! every arrival the same FIFO — which means one tenant's storm starves
 //! everyone behind it. This module replaces it on the serving path with
 //! a **fabric** of per-tenant bounded queues scheduled by deficit round
@@ -34,7 +34,15 @@ use sb_sentinel::{SloHandle, SloHealth, SloSpec};
 use sb_sim::Cycles;
 use sb_transport::{Request, TenantId};
 
-use crate::queue::AdmissionPolicy;
+/// What happens to an arrival that finds its queue full.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AdmissionPolicy {
+    /// Reject it immediately (load shedding); the client sees an error.
+    Shed,
+    /// Block the producer until a slot frees; the wait is charged to the
+    /// request's latency.
+    Block,
+}
 
 /// How long a quarantined aggressor's new arrivals are shed, in cycles.
 pub const QUARANTINE_WINDOW: Cycles = 5_000_000;

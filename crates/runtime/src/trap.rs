@@ -20,12 +20,11 @@ use sb_observe::{Recorder, SpanKind};
 use sb_rewriter::corpus;
 use sb_sim::Cycles;
 use sb_transport::{
+    service::{ServiceSpec, DATA_BASE, RECORD_LINE},
     verify_reply_corr,
     wire::{Lane, WIRE_HEADER_LEN},
     CallError, CopyMeter, Request, Transport,
 };
-
-use crate::service::{ServiceSpec, DATA_BASE, RECORD_LINE};
 
 struct TrapWorker {
     client: ThreadId,

@@ -1,8 +1,8 @@
 //! The service work every transport personality performs per request.
 //!
-//! Lives in `sb-transport` (re-exported through `sb-runtime::service`)
-//! so kernel-backed personalities implemented in either crate compare
-//! on identical service work.
+//! Lives in `sb-transport` so kernel-backed personalities implemented in
+//! either crate (and `sb_runtime::ServiceSpec` users) compare on
+//! identical service work.
 
 use sb_mem::Gva;
 use sb_sim::Cycles;
