@@ -46,7 +46,8 @@ use sb_runtime::{
 };
 use sb_ycsb::WorkloadSpec;
 use skybridge_repro::scenarios::runtime::{
-    build_backend, build_ring_backend, run_open_loop, run_ring_open_loop, Backend, ServingScenario,
+    build_ring_backend, cycles_per_call, run_open_loop, run_ring_open_loop, Backend,
+    ServingScenario,
 };
 
 /// The amortization gate: saturated ring-mode SkyBridge at batch ≥ 8
@@ -73,25 +74,6 @@ fn sweep_cfg() -> RuntimeConfig {
         queue_deadline: None,
         ..RuntimeConfig::default()
     }
-}
-
-/// Deterministic direct-mode cycles per call — the service rate the ρ
-/// grid is scaled against.
-fn cycles_per_call(backend: &Backend) -> f64 {
-    let mut t = build_backend(ServingScenario::Kv, backend, 1);
-    let mut f = factory();
-    // Past the KV store's growth phase, so the sweep sees steady state.
-    for _ in 0..512 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    let t0 = t.now(0);
-    let n = 512u64;
-    for _ in 0..n {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    (t.now(0) - t0) as f64 / n as f64
 }
 
 /// One timed repetition of the saturated ring hot path: fill the

@@ -33,7 +33,9 @@ use sb_runtime::{
     AdmissionPolicy, PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime,
     TenantAction, TenantId, TenantRegistry, TenantSpec,
 };
-use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
+use skybridge_repro::scenarios::runtime::{
+    build_backend, cycles_per_call, Backend, ServingScenario,
+};
 use skybridge_repro::scenarios::tenant::{run_noisy_neighbor, TenantOutcome};
 
 /// The fairness gate: Jain's index on uniform cells must clear this.
@@ -66,27 +68,6 @@ fn jain_index(stats: &RunStats) -> f64 {
         return 1.0;
     }
     sum * sum / (ratios.len() as f64 * sum_sq)
-}
-
-/// Deterministic direct-mode cycles per call, for scaling the arrival
-/// rate to ρ.
-fn cycles_per_call(backend: &Backend) -> f64 {
-    let mut t = build_backend(ServingScenario::Kv, backend, 1);
-    let mut f = RequestFactory::new(
-        ServingScenario::Kv.workload(),
-        ServingScenario::Kv.payload(),
-    );
-    for _ in 0..512 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    let t0 = t.now(0);
-    let n = 512u64;
-    for _ in 0..n {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    (t.now(0) - t0) as f64 / n as f64
 }
 
 /// Every tenant on the default contract, each with its own bounded lane.

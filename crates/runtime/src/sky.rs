@@ -10,23 +10,20 @@
 //! the server space on the migrated thread, VMFUNC back.
 //!
 //! The call path is zero-copy end-to-end: the request is encoded once
-//! into the lane's staging image ([`Lane::encode`]), the wire header
+//! into the lane's staging image ([`Lanes::encode`]), the wire header
 //! rides the register image the trampoline carries (small args in
 //! registers, exactly the paper's design), the payload is written once
 //! into the connection's shared buffer and served in place, and the echo
 //! reply is the payload half of the lane — no `to_vec()`, no read-back.
 
 use sb_faultplane::FaultHandle;
-use sb_mem::PAGE_SIZE;
 use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId};
-use sb_observe::{Recorder, SpanKind};
+use sb_observe::Recorder;
 use sb_rewriter::corpus;
 use sb_sim::Cycles;
 use sb_transport::{
-    service::{ServiceSpec, DATA_BASE, RECORD_LINE},
-    verify_reply_corr,
-    wire::{Lane, OP_TAG_OFFSET},
-    BatchComplete, CallError, CopyMeter, Request, Transport,
+    service::{ServiceSpec, DATA_BASE},
+    BatchComplete, CallError, Lanes, Request, Transport,
 };
 use skybridge::{HandlerReply, SbError, ServerId, SkyBridge};
 
@@ -41,12 +38,9 @@ pub struct SkyBridgeTransport {
     /// Whether lane `l` currently holds a connection slot (a rebind
     /// that hits injected slot exhaustion leaves the lane unbound).
     bound: Vec<bool>,
-    /// Per-lane staging image of the connection's shared buffer.
-    lanes: Vec<Lane>,
-    meter: CopyMeter,
+    /// Per-lane staging images of the connections' shared buffers.
+    lanes: Lanes,
     label: String,
-    recorder: Recorder,
-    poison: Option<(usize, u64)>,
 }
 
 impl SkyBridgeTransport {
@@ -65,12 +59,11 @@ impl SkyBridgeTransport {
         );
         let server_pid = k.create_process(&corpus::generate(0x5b_01, 4096, 0));
         let server_tid = k.create_thread(server_pid, 0);
-        let data_pages = (spec.records as usize * RECORD_LINE).div_ceil(PAGE_SIZE as usize) + 1;
-        k.map_heap(server_pid, DATA_BASE, data_pages);
+        k.map_heap(server_pid, DATA_BASE, spec.data_pages());
 
         let mut sb = SkyBridge::new();
         sb.timeout = spec.timeout;
-        let (records, cpu) = (spec.records.max(1), spec.cpu);
+        let work = spec.clone();
         let server = sb
             .register_server(
                 &mut k,
@@ -78,15 +71,7 @@ impl SkyBridgeTransport {
                 lanes,
                 spec.footprint,
                 Box::new(move |_sb, k, ctx, req| {
-                    let key = u64::from_le_bytes(req[..8].try_into().expect("wire payload"));
-                    let at = DATA_BASE.add((key % records) * RECORD_LINE as u64);
-                    let mut line = [0u8; RECORD_LINE];
-                    if req[OP_TAG_OFFSET] == 1 {
-                        k.user_write(ctx.caller, at, &line)?;
-                    } else {
-                        k.user_read(ctx.caller, at, &mut line)?;
-                    }
-                    k.compute(ctx.caller, cpu);
+                    work.touch_record(k, ctx.caller, req)?;
                     // Echo the request — the service contract every
                     // transport implements, served in place from the
                     // shared buffer (no reply bytes materialised).
@@ -109,21 +94,38 @@ impl SkyBridgeTransport {
             k,
             sb,
             server,
-            lanes: (0..clients.len()).map(|_| Lane::new()).collect(),
+            lanes: Lanes::new(clients.len()),
             clients,
             bound,
-            meter: CopyMeter::new(),
             label: "skybridge".to_string(),
-            recorder: Recorder::off(),
-            poison: None,
         }
     }
 
-    /// Restamps the *next* call's reply header on `lane` with a stale
-    /// correlation id — the injection seam for proving `call` refuses a
-    /// reply that answers a different request.
-    pub fn poison_next_reply_corr(&mut self, lane: usize, corr: u64) {
-        self.poison = Some((lane, corr));
+    /// One marshalling write per call: the wire image lands in the
+    /// lane's staging buffer, the watchdog deadline in its header. The
+    /// header's small args ride the register image (the trampoline's
+    /// registers); the payload is written once into the shared buffer
+    /// and served in place.
+    fn encode(&mut self, lane: usize, req: &Request) {
+        let deadline = self.sb.timeout.map_or(0, |t| req.arrival.saturating_add(t));
+        self.lanes.encode(lane, req, deadline);
+    }
+
+    /// Turns a served frame into the reply length: an echo is the lane's
+    /// payload half, served in place; a non-echo reply (none on the
+    /// serving hot path) is copied into the lane so `reply` stays a
+    /// buffer view.
+    fn settle(
+        &mut self,
+        lane: usize,
+        served: Result<Option<Vec<u8>>, SbError>,
+    ) -> Result<usize, CallError> {
+        match served {
+            Ok(None) => Ok(self.lanes.reply(lane).len()),
+            Ok(Some(v)) => Ok(self.lanes.set_reply(lane, &v)),
+            Err(SbError::Timeout { elapsed, .. }) => Err(CallError::Timeout { elapsed }),
+            Err(e) => Err(CallError::Failed(e.to_string())),
+        }
     }
 
     /// Attempts to bind one more client process beyond the per-lane
@@ -195,55 +197,28 @@ impl Transport for SkyBridgeTransport {
     }
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
-        // One marshalling write per call: the wire image lands in the
-        // lane's staging buffer. The header's small args ride the
-        // register image (the trampoline's registers); the payload is
-        // written once into the shared buffer and served in place.
-        self.recorder.note_tenant(lane, req.tenant);
-        self.recorder
-            .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
-        let deadline = self.sb.timeout.map_or(0, |t| req.arrival.saturating_add(t));
-        self.lanes[lane].encode(req, deadline, &self.meter);
+        self.lanes.open(lane, req, self.k.machine.cpu(lane).tsc);
+        self.encode(lane, req);
         // Stamp the facility's trace id: every interior span of this
         // call — and of any nested call a handler makes — carries the
         // wire corr, so span trees assemble per request.
         self.sb.set_trace_corr(req.id);
-        let payload = self.lanes[lane].reply();
-        let out = match self.sb.direct_server_call_raw(
-            &mut self.k,
-            self.clients[lane],
-            self.server,
-            payload,
-        ) {
-            // Echo served in place: the reply is the lane's payload half.
-            Ok((None, _)) => Ok(payload.len()),
-            Ok((Some(v), _)) => {
-                // A non-echo reply (none on the serving hot path): copy
-                // it into the lane so `reply` stays a buffer view.
-                let n = v.len();
-                self.meter.add(n);
-                self.lanes[lane].set_reply(&v);
-                Ok(n)
-            }
-            Err(SbError::Timeout { elapsed, .. }) => Err(CallError::Timeout { elapsed }),
-            Err(e) => Err(CallError::Failed(e.to_string())),
-        };
-        if let Some((l, corr)) = self.poison {
-            if l == lane {
-                self.lanes[lane].set_reply_corr(corr);
-                self.poison = None;
-            }
-        }
-        // Refuse a reply that answers a different request: the lane's
-        // header corr must still be the outstanding call's id.
-        let out = out.and_then(|n| verify_reply_corr(&self.lanes[lane], req.id).map(|()| n));
-        self.recorder
-            .end(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
-        out
+        let served = self
+            .sb
+            .direct_server_call_raw(
+                &mut self.k,
+                self.clients[lane],
+                self.server,
+                self.lanes.reply(lane),
+            )
+            .map(|(reply, _)| reply);
+        let out = self.settle(lane, served);
+        self.lanes
+            .close(lane, req, out, self.k.machine.cpu(lane).tsc)
     }
 
     fn reply(&self, lane: usize) -> &[u8] {
-        self.lanes[lane].reply()
+        self.lanes.reply(lane)
     }
 
     /// The native doorbell drain: one trampoline + VMFUNC crossing for
@@ -272,36 +247,19 @@ impl Transport for SkyBridgeTransport {
         };
         let mut consumed = 0;
         for (i, req) in reqs.iter().enumerate() {
-            self.recorder.note_tenant(lane, req.tenant);
-            let deadline = self.sb.timeout.map_or(0, |t| req.arrival.saturating_add(t));
-            self.lanes[lane].encode(req, deadline, &self.meter);
-            let payload = self.lanes[lane].reply();
-            let out = self
-                .sb
-                .batch_serve(&mut self.k, &mut session, payload, req.id);
+            self.lanes.recorder.note_tenant(lane, req.tenant);
+            self.encode(lane, req);
+            let served =
+                self.sb
+                    .batch_serve(&mut self.k, &mut session, self.lanes.reply(lane), req.id);
             consumed = i + 1;
-            match out {
-                Ok(None) => {
-                    let r = verify_reply_corr(&self.lanes[lane], req.id).map(|()| payload.len());
-                    complete(i, r, self.lanes[lane].reply());
-                }
-                Ok(Some(v)) => {
-                    let n = v.len();
-                    self.meter.add(n);
-                    self.lanes[lane].set_reply(&v);
-                    let r = verify_reply_corr(&self.lanes[lane], req.id).map(|()| n);
-                    complete(i, r, self.lanes[lane].reply());
-                }
-                Err(SbError::Timeout { elapsed, .. }) => {
-                    complete(i, Err(CallError::Timeout { elapsed }), &[]);
-                    break; // The forced return (§7) closed the session.
-                }
-                Err(e) => {
-                    complete(i, Err(CallError::Failed(e.to_string())), &[]);
-                    break; // The error path closed the session.
-                }
-            }
-            if !session.is_open() {
+            let out = self.settle(lane, served);
+            // A serving error means the forced return (§7) or the error
+            // path already closed the session.
+            let aborted = out.is_err();
+            let out = self.lanes.seal(lane, req.id, out);
+            complete(i, out, if aborted { &[] } else { self.lanes.reply(lane) });
+            if aborted || !session.is_open() {
                 break;
             }
         }
@@ -329,14 +287,14 @@ impl Transport for SkyBridgeTransport {
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.meter.total()
+        self.lanes.bytes_copied()
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
         // The facility emits the interior phase spans (trampoline /
         // switch / handler); the transport wraps them in the Call span.
         self.sb.set_recorder(recorder.clone());
-        self.recorder = recorder;
+        self.lanes.recorder = recorder;
     }
 
     fn pmu(&self) -> Option<sb_sim::Pmu> {
@@ -396,7 +354,7 @@ mod tests {
     #[test]
     fn stale_reply_corr_is_refused() {
         let mut t = SkyBridgeTransport::new(1, &ServiceSpec::default());
-        t.poison_next_reply_corr(0, 99);
+        t.lanes.poison_next_reply_corr(0, 99);
         match t.call(0, &mk(1, 7, false)) {
             Err(CallError::CorrMismatch { expected, got }) => {
                 assert_eq!((expected, got), (1, 99));

@@ -14,16 +14,15 @@
 //! reads — the bytes are already staged host-side in the lane) and the
 //! echo reply is the lane's payload half; no read-back copies anywhere.
 
-use sb_mem::{walk::Access, PAGE_SIZE};
-use sb_microkernel::{layout, Kernel, KernelConfig, Personality, ThreadId};
+use sb_mem::walk::Access;
+use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId};
 use sb_observe::{Recorder, SpanKind};
 use sb_rewriter::corpus;
 use sb_sim::Cycles;
 use sb_transport::{
-    service::{ServiceSpec, DATA_BASE, RECORD_LINE},
-    verify_reply_corr,
-    wire::{Lane, WIRE_HEADER_LEN},
-    CallError, CopyMeter, Request, Transport,
+    service::{ServiceSpec, DATA_BASE},
+    wire::WIRE_HEADER_LEN,
+    CallError, Lanes, Request, Transport,
 };
 
 struct TrapWorker {
@@ -38,14 +37,9 @@ pub struct TrapIpcTransport {
     pub k: Kernel,
     server_pid: usize,
     workers: Vec<TrapWorker>,
-    lanes: Vec<Lane>,
-    meter: CopyMeter,
-    cpu: Cycles,
-    records: u64,
-    footprint: usize,
+    lanes: Lanes,
+    spec: ServiceSpec,
     label: String,
-    recorder: Recorder,
-    poison: Option<(usize, u64)>,
 }
 
 impl TrapIpcTransport {
@@ -85,8 +79,7 @@ impl TrapIpcTransport {
             "lanes must fit the machine's cores"
         );
         let server_pid = k.create_process(&corpus::generate(0x7a_01, 4096, 0));
-        let data_pages = (spec.records as usize * RECORD_LINE).div_ceil(PAGE_SIZE as usize) + 1;
-        k.map_heap(server_pid, DATA_BASE, data_pages);
+        k.map_heap(server_pid, DATA_BASE, spec.data_pages());
 
         let mut ws = Vec::with_capacity(lanes);
         for l in 0..lanes {
@@ -106,23 +99,17 @@ impl TrapIpcTransport {
         TrapIpcTransport {
             k,
             server_pid,
-            lanes: (0..ws.len()).map(|_| Lane::new()).collect(),
+            lanes: Lanes::new(ws.len()),
             workers: ws,
-            meter: CopyMeter::new(),
-            cpu: spec.cpu,
-            records: spec.records.max(1),
-            footprint: spec.footprint,
+            spec: spec.clone(),
             label,
-            recorder: Recorder::off(),
-            poison: None,
         }
     }
 
-    /// Restamps the *next* call's reply header on `lane` with a stale
-    /// correlation id — the injection seam for proving `call` refuses a
-    /// reply that answers a different request.
-    pub fn poison_next_reply_corr(&mut self, lane: usize, corr: u64) {
-        self.poison = Some((lane, corr));
+    /// Emits a `kind` span on `lane` from `t0` to the lane clock now.
+    fn phase(&self, lane: usize, kind: SpanKind, t0: Cycles, corr: u64) {
+        let now = self.k.machine.cpu(lane).tsc;
+        self.lanes.recorder.span(lane, kind, t0, now, corr);
     }
 
     /// The instrumented call body. Phase spans are emitted post-hoc (a
@@ -138,89 +125,48 @@ impl TrapIpcTransport {
 
         // One marshalling write per call: the full wire image into the
         // lane's staging buffer (kernel IPC has no register channel, so
-        // the header travels in the message too).
+        // the header travels in the message too), then into the client's
+        // message buffer — the single write of the wire bytes into
+        // simulated memory.
         let t0 = self.k.machine.cpu(lane).tsc;
-        let wire_len = {
-            let wire = self.lanes[lane].encode(req, 0, &self.meter);
-            let k = &mut self.k;
-            // Client marshals the message into its message buffer — the
-            // single write of the wire bytes into simulated memory.
-            let client_buf = k.threads[client].msg_buf;
-            k.user_write(client, client_buf, wire)
-                .map_err(|e| fail(e.to_string()))?;
-            wire.len()
-        };
-        self.recorder.span(
-            lane,
-            SpanKind::Marshal,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        let wire = self.lanes.encode(lane, req, 0);
+        let client_buf = self.k.threads[client].msg_buf;
+        self.k
+            .user_write(client, client_buf, wire)
+            .map_err(|e| fail(e.to_string()))?;
+        let wire_len = wire.len();
+        self.phase(lane, SpanKind::Marshal, t0, req.id);
 
         let t0 = self.k.machine.cpu(lane).tsc;
         self.k
             .ipc_call(client, cap, wire_len)
             .map_err(|e| fail(format!("{e:?}")))?;
-        self.recorder.span(
-            lane,
-            SpanKind::KernelIpc,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        self.phase(lane, SpanKind::KernelIpc, t0, req.id);
 
         // Server side (the server thread is now current on this core):
-        // fetch the handler's code, parse the message in place — the
-        // bytes already sit in the lane's staging image, so the server
-        // read is charge-only — touch the record, compute.
-        let t0 = self.k.machine.cpu(lane).tsc;
-        let k = &mut self.k;
-        let server_buf = k.threads[server].msg_buf;
-        k.user_exec(server, layout::CODE_BASE, self.footprint)
-            .map_err(|e| fail(e.to_string()))?;
-        k.user_touch(server, server_buf, wire_len, Access::Read)
-            .map_err(|e| fail(e.to_string()))?;
-        let payload = self.lanes[lane].reply();
-        let key = u64::from_le_bytes(payload[..8].try_into().expect("wire payload"));
-        let at = DATA_BASE.add((key % self.records) * RECORD_LINE as u64);
-        let mut line = [0u8; RECORD_LINE];
-        if payload[8] == 1 {
-            k.user_write(server, at, &line)
-                .map_err(|e| fail(e.to_string()))?;
-        } else {
-            k.user_read(server, at, &mut line)
-                .map_err(|e| fail(e.to_string()))?;
-        }
-        k.compute(server, self.cpu);
-        // Echo reply: the reply bytes are the message's payload half,
-        // already in the buffer — the server's reply write and the
+        // the in-place service body. The server's reply write and the
         // client's read-back are charge-only.
-        k.user_touch(server, server_buf, wire_len, Access::Write)
+        let t0 = self.k.machine.cpu(lane).tsc;
+        let server_buf = self.k.threads[server].msg_buf;
+        let reply_len = self
+            .spec
+            .serve_in_place(
+                &mut self.k,
+                server,
+                server_buf,
+                self.lanes.reply(lane),
+                wire_len,
+            )
             .map_err(|e| fail(e.to_string()))?;
-        let reply_len = payload.len();
-        self.recorder.span(
-            lane,
-            SpanKind::Handler,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        self.phase(lane, SpanKind::Handler, t0, req.id);
 
         let t0 = self.k.machine.cpu(lane).tsc;
         self.k
             .ipc_reply(server, client, wire_len)
             .map_err(|e| fail(format!("{e:?}")))?;
-        self.recorder.span(
-            lane,
-            SpanKind::KernelIpc,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        self.phase(lane, SpanKind::KernelIpc, t0, req.id);
 
         let t0 = self.k.machine.cpu(lane).tsc;
-        let client_buf = self.k.threads[client].msg_buf;
         self.k
             .user_touch(
                 client,
@@ -229,13 +175,7 @@ impl TrapIpcTransport {
                 Access::Read,
             )
             .map_err(|e| fail(e.to_string()))?;
-        self.recorder.span(
-            lane,
-            SpanKind::Marshal,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        self.phase(lane, SpanKind::Marshal, t0, req.id);
         Ok(reply_len)
     }
 }
@@ -258,26 +198,14 @@ impl Transport for TrapIpcTransport {
     }
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
-        self.recorder.note_tenant(lane, req.tenant);
-        self.recorder
-            .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
+        self.lanes.open(lane, req, self.k.machine.cpu(lane).tsc);
         let out = self.call_inner(lane, req);
-        if let Some((l, corr)) = self.poison {
-            if l == lane {
-                self.lanes[lane].set_reply_corr(corr);
-                self.poison = None;
-            }
-        }
-        // Refuse a reply that answers a different request: the lane's
-        // header corr must still be the outstanding call's id.
-        let out = out.and_then(|n| verify_reply_corr(&self.lanes[lane], req.id).map(|()| n));
-        self.recorder
-            .end(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
-        out
+        self.lanes
+            .close(lane, req, out, self.k.machine.cpu(lane).tsc)
     }
 
     fn reply(&self, lane: usize) -> &[u8] {
-        self.lanes[lane].reply()
+        self.lanes.reply(lane)
     }
 
     fn recover(&mut self, lane: usize) -> bool {
@@ -302,11 +230,11 @@ impl Transport for TrapIpcTransport {
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.meter.total()
+        self.lanes.bytes_copied()
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.lanes.recorder = recorder;
     }
 
     fn pmu(&self) -> Option<sb_sim::Pmu> {
@@ -348,7 +276,7 @@ mod tests {
         for p in Personality::all() {
             let mut t = TrapIpcTransport::new(p, 1, &ServiceSpec::default());
             let label = t.label().to_string();
-            t.poison_next_reply_corr(0, 3);
+            t.lanes.poison_next_reply_corr(0, 3);
             let r = Request {
                 id: 8,
                 ..req(1, false)

@@ -10,6 +10,10 @@
 //! travel in the [`RegImage`] the paper's trampoline carries in
 //! registers.
 //!
+//! Every lane-buffered personality wraps its crossing in one [`Lanes`]
+//! envelope (tenant note, `Call` span, copy meter, reply-correlation
+//! check) and serves the same [`ServiceSpec`] work.
+//!
 //! The dispatcher, retry/recovery machinery, load generator, and the
 //! chaos and differential harnesses (in `sb-runtime`) are generic over
 //! [`Transport`]; [`Faulty`] composes fault injection with any backend.
@@ -26,7 +30,7 @@ pub use mpk::MpkTransport;
 pub use ring::{RingCompletion, RingConfig, RingError, RingTransport};
 pub use service::{ServiceSpec, DATA_BASE, RECORD_LINE};
 pub use transport::{
-    verify_reply_corr, BatchComplete, CallError, FixedServiceTransport, Transport,
+    verify_reply_corr, BatchComplete, CallError, FixedServiceTransport, Lanes, Transport,
 };
 pub use wire::{
     opcode, CopyMeter, Lane, RegImage, Request, TenantId, WireHeader, OP_TAG_OFFSET,

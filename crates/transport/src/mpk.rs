@@ -27,15 +27,15 @@
 //! rewriter argument applies to `WRPKRU` occurrences just as to
 //! `VMFUNC`).
 
-use sb_mem::{walk::Access, Gva, PAGE_SIZE};
-use sb_microkernel::{layout, Kernel, KernelConfig, Personality, ThreadId};
+use sb_mem::{walk::Access, Gva};
+use sb_microkernel::{Kernel, KernelConfig, Personality, ThreadId};
 use sb_observe::{Recorder, SpanKind};
 use sb_rewriter::corpus;
 use sb_sim::Cycles;
 
 use crate::service::{ServiceSpec, DATA_BASE, RECORD_LINE};
-use crate::transport::{verify_reply_corr, BatchComplete, CallError, Transport};
-use crate::wire::{CopyMeter, Lane, Request, OP_TAG_OFFSET, WIRE_HEADER_LEN};
+use crate::transport::{BatchComplete, CallError, Lanes, Transport};
+use crate::wire::{Request, WIRE_HEADER_LEN};
 
 /// Protection key tagging the server's record region.
 pub const SERVER_KEY: u8 = 1;
@@ -69,18 +69,13 @@ pub struct MpkTransport {
     pub k: Kernel,
     /// Lane `l`'s migrating thread.
     threads: Vec<ThreadId>,
-    /// Per-lane staging image of the message buffer.
-    lanes: Vec<Lane>,
+    /// Per-lane staging images of the message buffers.
+    lanes: Lanes,
     /// The PKRU value lane `l`'s entry flip loads — [`SERVER_PKRU`] when
     /// healthy, [`STALE_PKRU`] after an injected restore bug.
     lane_pkru: Vec<u32>,
-    meter: CopyMeter,
-    cpu: Cycles,
-    records: u64,
-    footprint: usize,
+    spec: ServiceSpec,
     label: String,
-    recorder: Recorder,
-    poison: Option<(usize, u64)>,
 }
 
 impl MpkTransport {
@@ -99,8 +94,7 @@ impl MpkTransport {
             "lanes must fit the machine's cores"
         );
         let pid = k.create_process(&corpus::generate(0x3b_99, 4096, 0));
-        let data_pages = (spec.records as usize * RECORD_LINE).div_ceil(PAGE_SIZE as usize) + 1;
-        k.map_heap_keyed(pid, DATA_BASE, data_pages, SERVER_KEY);
+        k.map_heap_keyed(pid, DATA_BASE, spec.data_pages(), SERVER_KEY);
         k.map_heap_keyed(pid, CLIENT_BASE, 1, CLIENT_KEY);
 
         let mut threads = Vec::with_capacity(lanes);
@@ -113,24 +107,12 @@ impl MpkTransport {
         }
         MpkTransport {
             k,
-            lanes: (0..threads.len()).map(|_| Lane::new()).collect(),
+            lanes: Lanes::new(threads.len()),
             lane_pkru: vec![SERVER_PKRU; threads.len()],
             threads,
-            meter: CopyMeter::new(),
-            cpu: spec.cpu,
-            records: spec.records.max(1),
-            footprint: spec.footprint,
+            spec: spec.clone(),
             label: "mpk".to_string(),
-            recorder: Recorder::off(),
-            poison: None,
         }
-    }
-
-    /// Restamps the *next* call's reply header on `lane` with a stale
-    /// correlation id — the injection seam for proving `call` refuses a
-    /// reply that answers a different request.
-    pub fn poison_next_reply_corr(&mut self, lane: usize, corr: u64) {
-        self.poison = Some((lane, corr));
     }
 
     /// Has the handler stray outside its pkey-permitted set: from inside
@@ -156,32 +138,14 @@ impl MpkTransport {
             .map_err(|e| e.to_string())
     }
 
-    /// The handler body, inside the server domain: fetch the handler's
-    /// code, parse the message in place (charge-only — the bytes already
-    /// sit in the lane's staging image), touch the record, compute, echo.
+    /// The handler body, inside the server domain:
+    /// [`ServiceSpec::serve_in_place`] on the lane's message buffer.
     fn serve(&mut self, lane: usize, wire_len: usize) -> Result<usize, String> {
         let tid = self.threads[lane];
-        let k = &mut self.k;
-        let buf = k.threads[tid].msg_buf;
-        k.user_exec(tid, layout::CODE_BASE, self.footprint)
-            .map_err(|e| e.to_string())?;
-        k.user_touch(tid, buf, wire_len, Access::Read)
-            .map_err(|e| e.to_string())?;
-        let payload = self.lanes[lane].reply();
-        let key = u64::from_le_bytes(payload[..8].try_into().expect("wire payload"));
-        let at = DATA_BASE.add((key % self.records) * RECORD_LINE as u64);
-        let mut line = [0u8; RECORD_LINE];
-        if payload[OP_TAG_OFFSET] == 1 {
-            k.user_write(tid, at, &line).map_err(|e| e.to_string())?;
-        } else {
-            k.user_read(tid, at, &mut line).map_err(|e| e.to_string())?;
-        }
-        k.compute(tid, self.cpu);
-        // Echo reply: the reply bytes are the message's payload half,
-        // already in the buffer — the reply write is charge-only.
-        k.user_touch(tid, buf, wire_len, Access::Write)
-            .map_err(|e| e.to_string())?;
-        Ok(payload.len())
+        let buf = self.k.threads[tid].msg_buf;
+        self.spec
+            .serve_in_place(&mut self.k, tid, buf, self.lanes.reply(lane), wire_len)
+            .map_err(|e| e.to_string())
     }
 
     /// One marshalling write: the wire image into the lane's message
@@ -189,12 +153,18 @@ impl MpkTransport {
     /// shared buffer).
     fn marshal(&mut self, lane: usize, req: &Request) -> Result<usize, String> {
         let tid = self.threads[lane];
-        let wire = self.lanes[lane].encode(req, 0, &self.meter);
+        let wire = self.lanes.encode(lane, req, 0);
         let buf = self.k.threads[tid].msg_buf;
         self.k
             .user_write(tid, buf, wire)
             .map_err(|e| e.to_string())?;
         Ok(wire.len())
+    }
+
+    /// Emits a `kind` span on `lane` from `t0` to the lane clock now.
+    fn phase(&self, lane: usize, kind: SpanKind, t0: Cycles, corr: u64) {
+        let now = self.k.machine.cpu(lane).tsc;
+        self.lanes.recorder.span(lane, kind, t0, now, corr);
     }
 
     /// One `WRPKRU` flip on `lane`'s core, emitted as its own span so
@@ -203,13 +173,7 @@ impl MpkTransport {
     fn flip(&mut self, lane: usize, pkru: u32, corr: u64) {
         let t0 = self.k.machine.cpu(lane).tsc;
         self.k.wrpkru(lane, pkru);
-        self.recorder.span(
-            lane,
-            SpanKind::Wrpkru,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            corr,
-        );
+        self.phase(lane, SpanKind::Wrpkru, t0, corr);
     }
 
     /// The instrumented call body. Phase spans are emitted post-hoc (a
@@ -221,25 +185,13 @@ impl MpkTransport {
     fn call_inner(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
         let t0 = self.k.machine.cpu(lane).tsc;
         let wire_len = self.marshal(lane, req).map_err(CallError::Failed)?;
-        self.recorder.span(
-            lane,
-            SpanKind::Marshal,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        self.phase(lane, SpanKind::Marshal, t0, req.id);
 
         self.flip(lane, self.lane_pkru[lane], req.id);
         let t0 = self.k.machine.cpu(lane).tsc;
         let served = self.serve(lane, wire_len);
         if served.is_ok() {
-            self.recorder.span(
-                lane,
-                SpanKind::Handler,
-                t0,
-                self.k.machine.cpu(lane).tsc,
-                req.id,
-            );
+            self.phase(lane, SpanKind::Handler, t0, req.id);
         }
         self.flip(lane, CLIENT_PKRU, req.id);
         let reply_len = served.map_err(CallError::Failed)?;
@@ -255,13 +207,7 @@ impl MpkTransport {
                 Access::Read,
             )
             .map_err(|e| CallError::Failed(e.to_string()))?;
-        self.recorder.span(
-            lane,
-            SpanKind::Marshal,
-            t0,
-            self.k.machine.cpu(lane).tsc,
-            req.id,
-        );
+        self.phase(lane, SpanKind::Marshal, t0, req.id);
         Ok(reply_len)
     }
 }
@@ -284,26 +230,14 @@ impl Transport for MpkTransport {
     }
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
-        self.recorder.note_tenant(lane, req.tenant);
-        self.recorder
-            .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
+        self.lanes.open(lane, req, self.k.machine.cpu(lane).tsc);
         let out = self.call_inner(lane, req);
-        if let Some((l, corr)) = self.poison {
-            if l == lane {
-                self.lanes[lane].set_reply_corr(corr);
-                self.poison = None;
-            }
-        }
-        // Refuse a reply that answers a different request: the lane's
-        // header corr must still be the outstanding call's id.
-        let out = out.and_then(|n| verify_reply_corr(&self.lanes[lane], req.id).map(|()| n));
-        self.recorder
-            .end(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
-        out
+        self.lanes
+            .close(lane, req, out, self.k.machine.cpu(lane).tsc)
     }
 
     fn reply(&self, lane: usize) -> &[u8] {
-        self.lanes[lane].reply()
+        self.lanes.reply(lane)
     }
 
     /// The amortized crossing: the *batch* pays the two `WRPKRU` flips
@@ -318,27 +252,19 @@ impl Transport for MpkTransport {
         self.flip(lane, self.lane_pkru[lane], reqs[0].id);
         let mut consumed = 0;
         for (i, req) in reqs.iter().enumerate() {
-            self.recorder.note_tenant(lane, req.tenant);
-            self.recorder
-                .begin(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
             let t0 = self.k.machine.cpu(lane).tsc;
+            self.lanes.open(lane, req, t0);
             let out = self
                 .marshal(lane, req)
                 .and_then(|wire_len| self.serve(lane, wire_len))
-                .map_err(CallError::Failed)
-                .and_then(|n| verify_reply_corr(&self.lanes[lane], req.id).map(|()| n));
-            self.recorder.span(
-                lane,
-                SpanKind::Handler,
-                t0,
-                self.k.machine.cpu(lane).tsc,
-                req.id,
-            );
-            self.recorder
-                .end(lane, SpanKind::Call, self.k.machine.cpu(lane).tsc, req.id);
+                .map_err(CallError::Failed);
+            self.phase(lane, SpanKind::Handler, t0, req.id);
+            let out = self
+                .lanes
+                .close(lane, req, out, self.k.machine.cpu(lane).tsc);
             consumed = i + 1;
             match out {
-                Ok(n) => complete(i, Ok(n), self.lanes[lane].reply()),
+                Ok(n) => complete(i, Ok(n), self.lanes.reply(lane)),
                 Err(e) => {
                     complete(i, Err(e), &[]);
                     break;
@@ -364,11 +290,11 @@ impl Transport for MpkTransport {
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.meter.total()
+        self.lanes.bytes_copied()
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.lanes.recorder = recorder;
     }
 
     fn pmu(&self) -> Option<sb_sim::Pmu> {
@@ -458,7 +384,7 @@ mod tests {
     #[test]
     fn stale_reply_corr_is_refused() {
         let mut t = MpkTransport::new(1, &ServiceSpec::default());
-        t.poison_next_reply_corr(0, 99);
+        t.lanes.poison_next_reply_corr(0, 99);
         match t.call(0, &req(1, 7, false)) {
             Err(CallError::CorrMismatch { expected, got }) => {
                 assert_eq!((expected, got), (1, 99));

@@ -451,6 +451,10 @@ impl<T: Transport> Transport for RingTransport<T> {
         self.inner.recover(lane)
     }
 
+    fn inject_pkru_stale(&mut self, lane: usize) -> bool {
+        self.inner.inject_pkru_stale(lane)
+    }
+
     fn bytes_copied(&self) -> u64 {
         self.inner.bytes_copied() + self.meter.total()
     }
@@ -576,5 +580,23 @@ mod tests {
         assert_eq!(Transport::reply(&r, 0), rq.encode());
         assert_eq!(r.now(0), 100);
         assert_eq!(r.now(1), 0);
+    }
+
+    #[test]
+    fn stale_pkru_reaches_the_transport_behind_the_rings() {
+        let spec = crate::service::ServiceSpec::default();
+        let mut r = RingTransport::with_defaults(crate::mpk::MpkTransport::new(1, &spec));
+        r.call(0, &req(1, 64)).unwrap();
+        assert!(
+            r.inject_pkru_stale(0),
+            "the MPK lane behind the rings goes stale"
+        );
+        let err = r.call(0, &req(2, 64)).unwrap_err();
+        assert!(
+            matches!(&err, CallError::Failed(m) if m.contains("pkey")),
+            "stale rights must surface as a pkey fault, got {err:?}"
+        );
+        assert!(r.recover(0));
+        r.call(0, &req(3, 64)).unwrap();
     }
 }

@@ -8,12 +8,14 @@
 //! IPC personalities (SkyBridge direct server calls; seL4, Fiasco.OC and
 //! Zircon kernel IPC; MPK protection-key crossings) differ only in how
 //! `call` crosses the protection boundary — never in marshalling, buffer
-//! handling or accounting.
+//! handling or accounting. [`Lanes`] is the one home of that shared
+//! envelope: the lane buffers, the copy meter, the `Call` span and the
+//! reply-correlation check.
 
 use sb_observe::{Recorder, SpanKind};
 use sb_sim::Cycles;
 
-use crate::wire::Request;
+use crate::wire::{CopyMeter, Lane, Request};
 
 /// Why a call failed.
 #[derive(Debug, Clone)]
@@ -57,7 +59,7 @@ impl std::fmt::Display for CallError {
 /// Every lane-buffered transport runs this at the tail of a successful
 /// `call`; the helper lives here so the check (and its error shape) is
 /// identical across personalities.
-pub fn verify_reply_corr(lane: &crate::wire::Lane, corr: u64) -> Result<(), CallError> {
+pub fn verify_reply_corr(lane: &Lane, corr: u64) -> Result<(), CallError> {
     match lane.reply_corr() {
         Some(got) if got == corr => Ok(()),
         Some(got) => Err(CallError::CorrMismatch {
@@ -237,18 +239,116 @@ impl<T: Transport + ?Sized> Transport for Box<T> {
     }
 }
 
+/// The call envelope every lane-buffered transport shares: one staging
+/// [`Lane`] per serving lane, the [`CopyMeter`] over their marshalling,
+/// the [`Recorder`] the `Call` span goes to, and a one-shot stale-reply
+/// injection. A transport brackets its crossing with [`Lanes::open`]
+/// and [`Lanes::close`]; everything in between is its own.
+#[derive(Debug, Default)]
+pub struct Lanes {
+    lanes: Vec<Lane>,
+    meter: CopyMeter,
+    /// Trace sink for the `Call` span and the transport's interior
+    /// phase spans.
+    pub recorder: Recorder,
+    poison: Option<(usize, u64)>,
+}
+
+impl Lanes {
+    /// `n` empty lanes with tracing off.
+    pub fn new(n: usize) -> Self {
+        Lanes {
+            lanes: (0..n).map(|_| Lane::new()).collect(),
+            ..Lanes::default()
+        }
+    }
+
+    /// Opens a call on `lane` at `now`: notes the request's tenant, then
+    /// begins its `Call` span.
+    pub fn open(&self, lane: usize, req: &Request, now: Cycles) {
+        self.recorder.note_tenant(lane, req.tenant);
+        self.recorder.begin(lane, SpanKind::Call, now, req.id);
+    }
+
+    /// Closes the call [`Lanes::open`] began: [`Lanes::seal`]s the
+    /// outcome, then ends the `Call` span at `now`.
+    pub fn close(
+        &mut self,
+        lane: usize,
+        req: &Request,
+        out: Result<usize, CallError>,
+        now: Cycles,
+    ) -> Result<usize, CallError> {
+        let out = self.seal(lane, req.id, out);
+        self.recorder.end(lane, SpanKind::Call, now, req.id);
+        out
+    }
+
+    /// Applies a pending stale-reply injection on `lane`, then refuses a
+    /// reply that answers a different request than `corr`. An error
+    /// outcome passes through unchanged.
+    pub fn seal(
+        &mut self,
+        lane: usize,
+        corr: u64,
+        out: Result<usize, CallError>,
+    ) -> Result<usize, CallError> {
+        if let Some((l, stale)) = self.poison {
+            if l == lane {
+                self.lanes[lane].set_reply_corr(stale);
+                self.poison = None;
+            }
+        }
+        out.and_then(|n| self.verify(lane, corr).map(|()| n))
+    }
+
+    /// Arranges for the *next* sealed reply on `lane` to carry `corr` in
+    /// its header — the injection seam for proving the correlation check
+    /// refuses a reply that answers a different request.
+    pub fn poison_next_reply_corr(&mut self, lane: usize, corr: u64) {
+        self.poison = Some((lane, corr));
+    }
+
+    /// Encodes `req` into `lane` — the call's one metered marshalling
+    /// write — and returns the wire image. `deadline` travels in the
+    /// header (0 = none).
+    pub fn encode(&mut self, lane: usize, req: &Request, deadline: Cycles) -> &[u8] {
+        self.lanes[lane].encode(req, deadline, &self.meter)
+    }
+
+    /// Copies a materialised (non-echo) reply into `lane`, metered, and
+    /// returns its length.
+    pub fn set_reply(&mut self, lane: usize, bytes: &[u8]) -> usize {
+        self.meter.add(bytes.len());
+        self.lanes[lane].set_reply(bytes);
+        bytes.len()
+    }
+
+    /// The reply view of `lane` (the payload half of its buffer).
+    pub fn reply(&self, lane: usize) -> &[u8] {
+        self.lanes[lane].reply()
+    }
+
+    /// Total bytes metered across every lane.
+    pub fn bytes_copied(&self) -> u64 {
+        self.meter.total()
+    }
+
+    /// [`verify_reply_corr`] on `lane`.
+    pub fn verify(&self, lane: usize, corr: u64) -> Result<(), CallError> {
+        verify_reply_corr(&self.lanes[lane], corr)
+    }
+}
+
 /// A synthetic transport with a constant service time and no kernel
 /// underneath — deterministic, cheap, fast enough for property tests
 /// over millions of arrivals.
 #[derive(Debug, Default)]
 pub struct FixedServiceTransport {
     clocks: Vec<Cycles>,
-    lanes: Vec<crate::wire::Lane>,
-    meter: crate::wire::CopyMeter,
+    lanes: Lanes,
     service: Cycles,
     label: String,
-    recorder: Recorder,
-    poison: Option<(usize, u64)>,
 }
 
 impl FixedServiceTransport {
@@ -258,20 +358,10 @@ impl FixedServiceTransport {
         assert!(lanes > 0, "at least one lane");
         FixedServiceTransport {
             clocks: vec![0; lanes],
-            lanes: (0..lanes).map(|_| crate::wire::Lane::new()).collect(),
-            meter: crate::wire::CopyMeter::new(),
+            lanes: Lanes::new(lanes),
             service,
             label: format!("fixed:{service}"),
-            recorder: Recorder::off(),
-            poison: None,
         }
-    }
-
-    /// Arranges for the *next* call on `lane` to come back with its
-    /// reply header restamped to `corr` — a stale-reply injection seam
-    /// for proving the correlation check refuses mismatched replies.
-    pub fn poison_next_reply_corr(&mut self, lane: usize, corr: u64) {
-        self.poison = Some((lane, corr));
     }
 }
 
@@ -295,31 +385,26 @@ impl Transport for FixedServiceTransport {
 
     fn call(&mut self, lane: usize, req: &Request) -> Result<usize, CallError> {
         let t0 = self.clocks[lane];
-        self.recorder.note_tenant(lane, req.tenant);
-        self.lanes[lane].encode(req, 0, &self.meter);
+        self.lanes.recorder.note_tenant(lane, req.tenant);
+        self.lanes.encode(lane, req, 0);
         self.clocks[lane] += self.service;
-        if let Some((l, corr)) = self.poison {
-            if l == lane {
-                self.lanes[lane].set_reply_corr(corr);
-                self.poison = None;
-            }
-        }
-        self.recorder
+        self.lanes
+            .recorder
             .span(lane, SpanKind::Call, t0, self.clocks[lane], req.id);
-        verify_reply_corr(&self.lanes[lane], req.id)?;
-        Ok(self.lanes[lane].reply().len())
+        self.lanes
+            .seal(lane, req.id, Ok(self.lanes.reply(lane).len()))
     }
 
     fn reply(&self, lane: usize) -> &[u8] {
-        self.lanes[lane].reply()
+        self.lanes.reply(lane)
     }
 
     fn bytes_copied(&self) -> u64 {
-        self.meter.total()
+        self.lanes.bytes_copied()
     }
 
     fn attach_recorder(&mut self, recorder: Recorder) {
-        self.recorder = recorder;
+        self.lanes.recorder = recorder;
     }
 }
 
@@ -368,7 +453,7 @@ mod tests {
             id: 7,
             ..req(1, false, 16)
         };
-        t.poison_next_reply_corr(0, 6);
+        t.lanes.poison_next_reply_corr(0, 6);
         match t.call(0, &r) {
             Err(CallError::CorrMismatch { expected, got }) => {
                 assert_eq!((expected, got), (7, 6));
@@ -379,5 +464,69 @@ mod tests {
         // on the next attempt and the other lane was never affected.
         assert_eq!(t.call(0, &r).unwrap(), 16);
         assert_eq!(t.call(1, &r).unwrap(), 16);
+    }
+
+    fn lane_events(rec: &Recorder, lanes: usize) -> Vec<Vec<sb_observe::Event>> {
+        (0..lanes).map(|l| rec.events(l)).collect()
+    }
+
+    #[test]
+    fn close_pairs_the_call_span_on_every_outcome() {
+        let mut lanes = Lanes::new(1);
+        lanes.recorder = Recorder::new(64);
+        let ok = Request {
+            id: 1,
+            ..req(3, false, 16)
+        };
+        lanes.open(0, &ok, 10);
+        lanes.encode(0, &ok, 0);
+        assert_eq!(lanes.close(0, &ok, Ok(16), 20).unwrap(), 16);
+        let failed = Request {
+            id: 2,
+            ..ok.clone()
+        };
+        lanes.open(0, &failed, 20);
+        let out = lanes.close(0, &failed, Err(CallError::Failed("fault".into())), 30);
+        assert!(matches!(out, Err(CallError::Failed(_))));
+        let profile = sb_observe::attribute(&lane_events(&lanes.recorder, 1));
+        assert_eq!(profile.calls, 2, "both outcomes close their Call span");
+        assert_eq!((profile.unmatched, profile.unclosed), (0, 0));
+    }
+
+    #[test]
+    fn an_error_outcome_passes_through_the_corr_check() {
+        let mut lanes = Lanes::new(1);
+        let r = Request {
+            id: 5,
+            ..req(1, false, 16)
+        };
+        lanes.encode(0, &r, 0);
+        // A poisoned header would fail the check on an `Ok`; a timeout
+        // must still surface as the timeout, not as a corr mismatch.
+        lanes.poison_next_reply_corr(0, 4);
+        let out = lanes.seal(0, r.id, Err(CallError::Timeout { elapsed: 9 }));
+        assert!(matches!(out, Err(CallError::Timeout { elapsed: 9 })));
+    }
+
+    #[test]
+    fn poison_is_one_shot_and_scoped_to_one_lane() {
+        let mut lanes = Lanes::new(2);
+        let r = Request {
+            id: 7,
+            ..req(1, false, 16)
+        };
+        lanes.poison_next_reply_corr(1, 6);
+        lanes.encode(0, &r, 0);
+        assert_eq!(lanes.seal(0, r.id, Ok(16)).unwrap(), 16, "lane 0 untouched");
+        lanes.encode(1, &r, 0);
+        assert!(matches!(
+            lanes.seal(1, r.id, Ok(16)),
+            Err(CallError::CorrMismatch {
+                expected: 7,
+                got: 6
+            })
+        ));
+        lanes.encode(1, &r, 0);
+        assert_eq!(lanes.seal(1, r.id, Ok(16)).unwrap(), 16, "poison spent");
     }
 }

@@ -122,6 +122,27 @@ pub fn build_backend_with_spec(
     }
 }
 
+/// Deterministic direct-mode cycles per call of the KV service on a
+/// one-lane `backend` — the service rate load sweeps scale ρ against.
+/// 512 warm-up calls get past the KV store's growth phase, so the mean
+/// over the 512 timed calls after them is steady state.
+pub fn cycles_per_call(backend: &Backend) -> f64 {
+    let scenario = ServingScenario::Kv;
+    let mut t = build_backend(scenario, backend, 1);
+    let mut f = RequestFactory::new(scenario.workload(), scenario.payload());
+    for _ in 0..512 {
+        let r = f.make(t.now(0), None);
+        t.call(0, &r).expect("calibration call");
+    }
+    let t0 = t.now(0);
+    let n = 512u64;
+    for _ in 0..n {
+        let r = f.make(t.now(0), None);
+        t.call(0, &r).expect("calibration call");
+    }
+    (t.now(0) - t0) as f64 / n as f64
+}
+
 /// Builds the serving transport for `backend` behind submission and
 /// completion rings — the asynchronous doorbell mode. SkyBridge drains
 /// each batch through one VMFUNC round trip
