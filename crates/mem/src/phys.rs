@@ -7,7 +7,10 @@
 //! all — and the rest, which the base EPT identity-maps to the Subkernel
 //! with 1 GiB pages.
 
-use std::collections::HashMap;
+use std::{
+    collections::HashMap,
+    hash::{BuildHasherDefault, Hasher},
+};
 
 use crate::addr::{Hpa, PAGE_SIZE};
 
@@ -18,10 +21,34 @@ pub const RESERVED_BYTES: u64 = 100 * 1024 * 1024;
 /// Total modeled RAM (16 GiB, matching the evaluation machine).
 pub const TOTAL_BYTES: u64 = 16 * 1024 * 1024 * 1024;
 
+/// Hashes a frame number with one multiply by an odd constant.
+///
+/// Frame numbers are dense integers the allocators hand out, not outside
+/// input, so the map needs no collision resistance — only the numbers
+/// spread over its buckets (the low bits of the product) and control
+/// bytes (the high bits). Nothing iterates the map, so no output depends
+/// on its order.
+#[derive(Default)]
+struct FrameHasher(u64);
+
+impl Hasher for FrameHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("frame numbers are hashed as u64");
+    }
+
+    fn write_u64(&mut self, frame: u64) {
+        self.0 = frame.wrapping_mul(0x9e37_79b9_7f4a_7c15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// Sparse host physical memory.
 #[derive(Debug, Default)]
 pub struct HostMem {
-    frames: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>>,
+    frames: HashMap<u64, Box<[u8; PAGE_SIZE as usize]>, BuildHasherDefault<FrameHasher>>,
     /// Next free frame in the reserved (Rootkernel) region.
     next_reserved: u64,
     /// Next free frame in the general region.
@@ -35,7 +62,7 @@ impl HostMem {
     /// zero page-table root can be used as a "none" sentinel.
     pub fn new() -> Self {
         HostMem {
-            frames: HashMap::new(),
+            frames: HashMap::default(),
             next_reserved: PAGE_SIZE,
             next_general: RESERVED_BYTES,
         }

@@ -89,11 +89,11 @@ impl SpanKind {
 
     /// Compact stable code (the index in [`SpanKind::ALL`]) — the form
     /// a [`Sample`](crate::profiler::Sample) stores its stack frames in.
+    #[inline]
     pub fn code(self) -> u8 {
-        SpanKind::ALL
-            .iter()
-            .position(|&k| k == self)
-            .expect("every kind is in ALL") as u8
+        // The variants are declared in `ALL` order, so the discriminant
+        // is the index (a unit test pins the two together).
+        self as u8
     }
 
     /// Decodes a [`SpanKind::code`] (None for an out-of-range code).
@@ -432,12 +432,26 @@ impl Recorder {
         self.inner.capacity
     }
 
+    /// The one funnel every emit site calls: the enabled check inlines
+    /// into the site, so an off recorder costs one flag read and no call.
     #[cfg(feature = "trace")]
     #[inline]
-    fn emit(&self, lane: usize, ev: Event) {
-        if !self.inner.enabled.get() {
-            return;
+    fn emit(&self, lane: usize, t: Cycles, corr: u64, kind: EventKind) {
+        if self.inner.enabled.get() {
+            self.record(lane, t, corr, kind);
         }
+    }
+
+    /// The recording half of [`Recorder::emit`], kept out of line:
+    /// inlined into the emit sites, its body bloats the simulator's hot
+    /// paths. The event arrives as scalars and is assembled here, so it
+    /// reaches the ring from registers rather than through a
+    /// caller-built stack copy, whose wide reload stalls on the narrow
+    /// stores that built it.
+    #[cfg(feature = "trace")]
+    #[inline(never)]
+    fn record(&self, lane: usize, t: Cycles, corr: u64, kind: EventKind) {
+        let ev = Event { t, corr, kind };
         let mut lanes = self.inner.lanes.borrow_mut();
         if lanes.len() <= lane {
             let cap = self.inner.capacity;
@@ -459,14 +473,7 @@ impl Recorder {
     #[inline]
     pub fn begin(&self, lane: usize, kind: SpanKind, t: Cycles, corr: u64) {
         #[cfg(feature = "trace")]
-        self.emit(
-            lane,
-            Event {
-                t,
-                corr,
-                kind: EventKind::Begin(kind),
-            },
-        );
+        self.emit(lane, t, corr, EventKind::Begin(kind));
         #[cfg(not(feature = "trace"))]
         let _ = (lane, kind, t, corr);
     }
@@ -475,14 +482,7 @@ impl Recorder {
     #[inline]
     pub fn end(&self, lane: usize, kind: SpanKind, t: Cycles, corr: u64) {
         #[cfg(feature = "trace")]
-        self.emit(
-            lane,
-            Event {
-                t,
-                corr,
-                kind: EventKind::End(kind),
-            },
-        );
+        self.emit(lane, t, corr, EventKind::End(kind));
         #[cfg(not(feature = "trace"))]
         let _ = (lane, kind, t, corr);
     }
@@ -498,14 +498,7 @@ impl Recorder {
         #[cfg(feature = "trace")]
         {
             let dur = t1.saturating_sub(t0).min(u32::MAX as Cycles) as u32;
-            self.emit(
-                lane,
-                Event {
-                    t: t0,
-                    corr,
-                    kind: EventKind::Complete(kind, dur),
-                },
-            );
+            self.emit(lane, t0, corr, EventKind::Complete(kind, dur));
         }
         #[cfg(not(feature = "trace"))]
         let _ = (lane, kind, t0, t1, corr);
@@ -515,14 +508,7 @@ impl Recorder {
     #[inline]
     pub fn instant(&self, lane: usize, kind: InstantKind, t: Cycles, corr: u64) {
         #[cfg(feature = "trace")]
-        self.emit(
-            lane,
-            Event {
-                t,
-                corr,
-                kind: EventKind::Instant(kind),
-            },
-        );
+        self.emit(lane, t, corr, EventKind::Instant(kind));
         #[cfg(not(feature = "trace"))]
         let _ = (lane, kind, t, corr);
     }
@@ -758,6 +744,14 @@ mod tests {
         // inflate every ring's working set.
         assert!(std::mem::size_of::<Event>() <= 24);
         assert!(std::mem::size_of::<FaultEvent>() <= 32);
+    }
+
+    #[test]
+    fn span_codes_are_indices_into_all() {
+        for (i, &kind) in SpanKind::ALL.iter().enumerate() {
+            assert_eq!(kind.code() as usize, i, "{kind:?}");
+            assert_eq!(SpanKind::from_code(kind.code()), Some(kind));
+        }
     }
 
     #[test]

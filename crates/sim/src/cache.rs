@@ -7,6 +7,8 @@
 //! hierarchy: physically indexed, set-associative, LRU-replaced caches whose
 //! geometries default to the Skylake i7-6700K the paper used.
 
+use std::ops::Range;
+
 use crate::Cycles;
 
 /// What an access is, for routing and PMU accounting.
@@ -86,12 +88,22 @@ impl CacheConfig {
 /// Tags are full line addresses, so the model never aliases distinct lines.
 /// The cache is a pure hit/miss filter: latency charging is done by the
 /// hierarchy walker in [`crate::machine::Machine`].
+///
+/// All sets live in one flat slot array, `ways` slots per set. A slot
+/// holds `line + 1` as a `u32`, so 0 marks an empty slot; a set keeps its
+/// lines most recently used first, with empty slots at the LRU end. A hit
+/// moves its line to the front, a miss shifts the set down by one (the
+/// last slot — the LRU line, or an empty slot — falls off) and writes the
+/// new line at the front: the victim is exactly the strict-LRU one.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
-    /// `sets[set]` holds up to `ways` line addresses, most recently used
-    /// last.
-    sets: Vec<Vec<u64>>,
+    /// `slots[set * ways..][..ways]` is one set, MRU first.
+    slots: Box<[u32]>,
+    /// `log2(line_bytes)`.
+    line_shift: u32,
+    /// `sets - 1`.
+    set_mask: usize,
     /// Total lookups.
     pub accesses: u64,
     /// Lookups that missed.
@@ -103,16 +115,19 @@ impl Cache {
     ///
     /// # Panics
     ///
-    /// Panics if the geometry is degenerate (zero ways or a capacity that is
-    /// not a whole number of sets).
+    /// Panics if the geometry is degenerate (zero ways, a line size that is
+    /// not a power of two, or a capacity that is not a power-of-two number
+    /// of sets).
     pub fn new(config: CacheConfig) -> Self {
-        assert!(config.ways > 0 && config.line_bytes > 0);
+        assert!(config.ways > 0 && config.line_bytes.is_power_of_two());
         assert_eq!(config.size_bytes % (config.ways * config.line_bytes), 0);
         let sets = config.sets();
         assert!(sets.is_power_of_two(), "set count must be a power of two");
         Cache {
             config,
-            sets: vec![Vec::new(); sets],
+            slots: vec![0; sets * config.ways].into_boxed_slice(),
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_mask: sets - 1,
             accesses: 0,
             misses: 0,
         }
@@ -123,53 +138,58 @@ impl Cache {
         &self.config
     }
 
-    fn set_of(&self, paddr: u64) -> (usize, u64) {
-        let line = paddr / self.config.line_bytes as u64;
-        let set = (line as usize) & (self.sets.len() - 1);
-        (set, line)
+    /// The slot range of the set holding `paddr`, and the slot value of
+    /// its line.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `line + 1` does not fit a slot (with 64-byte lines, from
+    /// the last line below 256 GiB up; the modeled machine has 16 GiB).
+    fn set_of(&self, paddr: u64) -> (Range<usize>, u32) {
+        let line = paddr >> self.line_shift;
+        let tag = u32::try_from(line + 1).expect("physical address beyond the cache tag range");
+        let start = (line as usize & self.set_mask) * self.config.ways;
+        (start..start + self.config.ways, tag)
     }
 
     /// Looks up the line holding `paddr`, filling it on a miss.
     ///
     /// Returns `true` on a hit. On a miss the LRU line of the set is
-    /// evicted (the model is not inclusive and does not track dirtiness;
+    /// evicted (the model is not inclusive — a level evicts without
+    /// back-invalidating the others — and does not track dirtiness;
     /// write-back traffic is folded into miss latency).
     pub fn access(&mut self, paddr: u64) -> bool {
         self.accesses += 1;
-        let (set, line) = self.set_of(paddr);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set];
-        if let Some(pos) = set.iter().position(|&l| l == line) {
-            let l = set.remove(pos);
-            set.push(l);
-            true
-        } else {
-            self.misses += 1;
-            if set.len() == ways {
-                set.remove(0);
+        let (range, tag) = self.set_of(paddr);
+        // One pass both searches and shifts: each slot takes its
+        // predecessor's line until the pass meets `tag` (a hit) or the LRU
+        // line falls off the end (a miss).
+        let mut carry = tag;
+        for slot in &mut self.slots[range] {
+            let old = std::mem::replace(slot, carry);
+            if old == tag {
+                return true;
             }
-            set.push(line);
-            false
+            carry = old;
         }
+        self.misses += 1;
+        false
     }
 
     /// Looks up without filling (used to probe state in tests).
     pub fn probe(&self, paddr: u64) -> bool {
-        let line = paddr / self.config.line_bytes as u64;
-        let set = (line as usize) & (self.sets.len() - 1);
-        self.sets[set].contains(&line)
+        let (range, tag) = self.set_of(paddr);
+        self.slots[range].contains(&tag)
     }
 
     /// Invalidates the whole cache (e.g. `WBINVD`); statistics survive.
     pub fn flush(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.slots.fill(0);
     }
 
     /// Number of lines currently resident.
     pub fn resident_lines(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.slots.iter().filter(|&&t| t != 0).count()
     }
 
     /// Resets the hit/miss statistics without touching cache state.
@@ -222,6 +242,22 @@ mod tests {
         assert!(c.access(0x1038)); // Same 64-byte line.
         assert_eq!(c.misses, 1);
         assert_eq!(c.accesses, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "beyond the cache tag range")]
+    fn line_beyond_the_tag_range_panics() {
+        tiny().access(1 << 38);
+    }
+
+    #[test]
+    #[should_panic]
+    fn non_power_of_two_line_size_panics() {
+        Cache::new(CacheConfig {
+            size_bytes: 384,
+            ways: 2,
+            line_bytes: 48,
+        });
     }
 
     #[test]

@@ -87,9 +87,11 @@ impl Machine {
     /// Performs one memory access at host-physical address `hpa` on behalf
     /// of `core`, walking L1 → L2 → L3 → DRAM.
     ///
-    /// Each level is filled on a miss (the hierarchy is modeled as
-    /// inclusive on fills). The hit/miss latencies from the cost model are
-    /// charged to the core's clock and the latency is returned.
+    /// Every level that misses is filled, so a cold line lands in L1, L2
+    /// and L3 alike. Evictions do not back-invalidate the other levels, so
+    /// the hierarchy is not strictly inclusive (see [`Cache::access`]).
+    /// The hit/miss latencies from the cost model are charged to the
+    /// core's clock and the latency is returned.
     pub fn mem_access(&mut self, core: CpuId, hpa: u64, kind: AccessKind) -> Cycles {
         let cpu = &mut self.cores[core];
         let mut latency = self.cost.l1_hit;
