@@ -16,9 +16,10 @@
 //! (arrivals per serving cell, default 400), `SB_FS_SEEDS` (seeds per FS
 //! mix, default 64).
 
+use sb_bench::harness::Verdict;
 use sb_bench::{
     knob, print_table,
-    report::{chaos_outcome_json, fs_chaos_json, results_dir, write_json, Json},
+    report::{chaos_outcome_json, fs_chaos_json, results_dir, Json},
 };
 use sb_sentinel::PostmortemSpec;
 use skybridge_repro::scenarios::chaos::{
@@ -146,17 +147,16 @@ fn main() {
     // The flight-recorder drill: leak a fault on purpose and demand a
     // schema-clean bundle. Its deliberate leak does not count against
     // the suite's zero-leak gate.
+    let mut v = Verdict::default();
     let drill = run_postmortem_drill(&Backend::SkyBridge, 0xd811_0001, 120, &flight);
     let drill_json = match &drill.postmortem {
         Some(r) => {
-            let body = std::fs::read_to_string(&r.path)
-                .unwrap_or_else(|e| panic!("drill bundle {} unreadable: {e}", r.path.display()));
-            if let Err(e) = sb_observe::validate_json(&body) {
-                eprintln!(
-                    "FAIL: drill bundle {} is not valid JSON: {e}",
+            let body = std::fs::read_to_string(&r.path).map_err(|e| e.to_string());
+            if let Err(e) = body.and_then(|b| sb_observe::validate_json(&b)) {
+                v.fail(format!(
+                    "drill bundle {} is not valid JSON: {e}",
                     r.path.display()
-                );
-                std::process::exit(1);
+                ));
             }
             println!(
                 "flight-recorder drill: {} ({} events, {} clipped, {} overwritten)",
@@ -172,13 +172,23 @@ fn main() {
                 .field("ring_dropped", r.ring_dropped)
         }
         None => {
-            eprintln!(
-                "FAIL: the drill leaked {} fault(s) but the flight recorder wrote no bundle",
+            v.fail(format!(
+                "the drill leaked {} fault(s) but the flight recorder wrote no bundle",
                 drill.report.unrecovered()
-            );
-            std::process::exit(1);
+            ));
+            Json::Null
         }
     };
+    if leaked_total > 0 {
+        v.fail(format!(
+            "{leaked_total} faults leaked (injected but never detected/recovered)"
+        ));
+    }
+    if missing_bundles > 0 {
+        v.fail(format!(
+            "{missing_bundles} incident(s) fired without a postmortem bundle"
+        ));
+    }
 
     let doc = Json::obj()
         .field("bench", "chaos")
@@ -190,19 +200,9 @@ fn main() {
         .field("drill", drill_json)
         .field("serving_cells", Json::Arr(json_rows))
         .field("fs_cells", Json::Arr(fs_json));
-    match write_json("chaos", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-
-    if leaked_total > 0 {
-        eprintln!("FAIL: {leaked_total} faults leaked (injected but never detected/recovered)");
-        std::process::exit(1);
-    }
-    if missing_bundles > 0 {
-        eprintln!("FAIL: {missing_bundles} incident(s) fired without a postmortem bundle");
-        std::process::exit(1);
-    }
-    println!("all injected faults detected and recovered; zero leaks");
-    println!("sentinel: {incidents} incident(s), every one with a postmortem bundle");
+    v.write("chaos", &doc);
+    v.finish(&format!(
+        "all injected faults detected and recovered; zero leaks\n\
+         sentinel: {incidents} incident(s), every one with a postmortem bundle"
+    ));
 }

@@ -14,14 +14,19 @@
 //! * **chaos** — the power-loss matrix; a leaked fault or a recovered
 //!   state diverging from the full-replay reference is a hard failure.
 //!
+//! A hard failure (or a traced request that does not assemble into one
+//! connected tree) is recorded in the run's verdict: the JSON is written
+//! with every row, then the bin exits 1.
+//!
 //! Knobs: `SB_GRAPH_OPS` (requests per workload cell, default 2000),
 //! `SB_GRAPH_LANES` (server threads, default 2), `SB_GRAPH_RECORDS`
 //! (table size, default 192), `SB_GRAPH_DRILL_OPS` (drill trace length,
 //! default 160).
 
+use sb_bench::harness::Verdict;
 use sb_bench::{
     knob, print_table,
-    report::{run_stats_json, write_json, Json},
+    report::{run_stats_json, Json},
 };
 use sb_graph::GraphSpec;
 use sb_observe::Recorder;
@@ -119,7 +124,7 @@ fn workload_sweep(records: usize, requests: u64, lanes: usize) -> (Vec<Json>, Ve
 /// request's children in route order (gateway, cache, db) with
 /// everything past the route being fs crossings made by the db's
 /// pager I/O.
-fn attribution(records: usize) -> (Vec<Json>, Vec<Vec<String>>) {
+fn attribution(records: usize, v: &mut Verdict) -> (Vec<Json>, Vec<Vec<String>>) {
     let mut rows = Vec::new();
     let mut table = Vec::new();
     for backend in Backend::all() {
@@ -147,12 +152,12 @@ fn attribution(records: usize) -> (Vec<Json>, Vec<Vec<String>>) {
                 continue;
             };
             if tr.roots.len() != 1 {
-                eprintln!(
-                    "FAIL: {} corr {corr} assembled {} roots (want 1 connected tree)",
+                v.fail(format!(
+                    "{} corr {corr} assembled {} roots (want 1 connected tree)",
                     backend.label(),
                     tr.roots.len()
-                );
-                std::process::exit(1);
+                ));
+                continue;
             }
             requests += 1;
             end_to_end += tr.roots[0].dur;
@@ -164,8 +169,8 @@ fn attribution(records: usize) -> (Vec<Json>, Vec<Vec<String>>) {
             }
         }
         if requests == 0 {
-            eprintln!("FAIL: {} traced run produced no spans", backend.label());
-            std::process::exit(1);
+            v.fail(format!("{} traced run produced no spans", backend.label()));
+            continue;
         }
         for (hop, cycles, crossings) in &per_hop {
             table.push(vec![
@@ -196,16 +201,15 @@ fn attribution(records: usize) -> (Vec<Json>, Vec<Vec<String>>) {
     (rows, table)
 }
 
-fn replay_section(ops: u64) -> Vec<Json> {
+fn replay_section(ops: u64, v: &mut Verdict) -> Vec<Json> {
     let mut rows = Vec::new();
     for backend in Backend::all() {
         let d = replay_drill(&backend, ops, 0x5eed);
         if !d.ok() {
-            eprintln!(
-                "FAIL: {} replay diverged: live {:#x} != replay {:#x} (caches match: {})",
+            v.fail(format!(
+                "{} replay diverged: live {:#x} != replay {:#x} (caches match: {})",
                 d.label, d.live_digest, d.replay_digest, d.cache_match
-            );
-            std::process::exit(1);
+            ));
         }
         rows.push(
             Json::obj()
@@ -215,24 +219,23 @@ fn replay_section(ops: u64) -> Vec<Json> {
                 .field("replayed", d.replayed)
                 .field("disk_digest", format!("{:#018x}", d.live_digest))
                 .field("log_digest", format!("{:#018x}", d.log_digest))
-                .field("byte_identical", true),
+                .field("byte_identical", d.ok()),
         );
     }
     rows
 }
 
-fn chaos_section(ops: u64) -> Vec<Json> {
+fn chaos_section(ops: u64, v: &mut Verdict) -> Vec<Json> {
     let mut rows = Vec::new();
     let mut died_somewhere = false;
     for backend in Backend::all() {
         for seed in CHAOS_SEEDS {
             let o = run_graph_chaos(&backend, seed, ops);
             if !o.ok() {
-                eprintln!(
-                    "FAIL: {} seed {seed:#x}: leaked {} faults, rows_match {}",
+                v.fail(format!(
+                    "{} seed {seed:#x}: leaked {} faults, rows_match {}",
                     o.label, o.leaked, o.rows_match
-                );
-                std::process::exit(1);
+                ));
             }
             died_somewhere |= o.died;
             rows.push(
@@ -250,8 +253,7 @@ fn chaos_section(ops: u64) -> Vec<Json> {
         }
     }
     if !died_somewhere {
-        eprintln!("FAIL: no chaos seed ever cut the power — the matrix is vacuous");
-        std::process::exit(1);
+        v.fail("no chaos seed ever cut the power — the matrix is vacuous");
     }
     rows
 }
@@ -262,6 +264,7 @@ fn main() {
     let records = knob("SB_GRAPH_RECORDS", 192);
     let drill_ops = knob("SB_GRAPH_DRILL_OPS", 160) as u64;
 
+    let mut v = Verdict::default();
     let (workload_rows, workload_table) = workload_sweep(records, requests, lanes);
     print_table(
         "YCSB over the serving graph (client → gateway → cache → db → fs)",
@@ -269,23 +272,16 @@ fn main() {
         &workload_table,
     );
 
-    let (attr_rows, attr_table) = attribution(records);
+    let (attr_rows, attr_table) = attribution(records, &mut v);
     print_table(
         "Per-hop attribution (sentinel-assembled span trees)",
         &["backend", "hop", "mean cycles", "crossings/req"],
         &attr_table,
     );
 
-    let replay_rows = replay_section(drill_ops);
-    println!(
-        "replay: {} cells byte-identical after snapshot + commit-log replay",
-        replay_rows.len()
-    );
-    let chaos_rows = chaos_section(drill_ops);
-    println!(
-        "chaos: {} power-loss runs recovered with zero leaked faults",
-        chaos_rows.len()
-    );
+    let replay_rows = replay_section(drill_ops, &mut v);
+    let chaos_rows = chaos_section(drill_ops, &mut v);
+    let (replays, power_cuts) = (replay_rows.len(), chaos_rows.len());
 
     let doc = Json::obj()
         .field(
@@ -300,6 +296,11 @@ fn main() {
         .field("attribution", attr_rows)
         .field("replay", replay_rows)
         .field("chaos", chaos_rows);
-    let path = write_json("graph", &doc).expect("write results/graph.json");
-    println!("wrote {}", path.display());
+    if !v.write("graph", &doc) {
+        v.fail("could not write results/graph.json");
+    }
+    v.finish(&format!(
+        "replay: {replays} cells byte-identical after snapshot + commit-log replay\n\
+         chaos: {power_cuts} power-loss runs recovered with zero leaked faults"
+    ));
 }

@@ -36,8 +36,9 @@
 //! [`DEFAULT_SAMPLE_PERIOD`]), `SB_PROFILE_WRITE=1` rewrites
 //! `results/profile_baseline.json` from this run.
 
-use sb_bench::report::{read_to_string, results_dir, write_json, write_raw, Json};
-use sb_bench::{baseline_field, knob, print_table};
+use sb_bench::harness::{baseline_field, lossless, Verdict};
+use sb_bench::report::{read_to_string, results_dir, write_raw, Json};
+use sb_bench::{knob, print_table};
 use sb_observe::{
     attribute, collapsed_lines, compare_shares, fold_samples, fold_samples_by_tenant, PhaseProfile,
     Recorder, Sample, SamplerConfig, ShareComparison, SpanKind, DEFAULT_RING_CAPACITY,
@@ -112,21 +113,9 @@ fn profile_backend(backend: &Backend, calls: u64) -> Result<BackendProfile, Stri
         samples.extend(recorder.drain_samples());
     }
 
-    // The capture must be exact: this bin sizes its chunks so any loss
-    // is an accounting bug, not pressure.
-    if recorder.dropped() > 0 {
-        return Err(format!(
-            "{label}: chunked capture overwrote {} events",
-            recorder.dropped()
-        ));
-    }
-    let sstats = recorder.sample_stats();
-    if sstats.dropped > 0 || sstats.poisoned > 0 || sstats.broken_events > 0 {
-        return Err(format!(
-            "{label}: sampler lost attribution ({} dropped, {} poisoned, {} broken events)",
-            sstats.dropped, sstats.poisoned, sstats.broken_events
-        ));
-    }
+    // The capture must be exact: this bin sizes its chunks so the
+    // rings never wrap between drains.
+    lossless(&recorder).map_err(|e| format!("{label}: chunked {e}"))?;
     if prof.unmatched > 0 || prof.unclosed > 0 {
         return Err(format!(
             "{label}: malformed span stream ({} unmatched, {} unclosed)",
@@ -283,13 +272,13 @@ fn diff_row(d: &BackendDiff) -> Json {
 
 fn main() {
     let calls = knob("SB_PROFILE_CALLS", 65_536) as u64;
-    let mut failures: Vec<String> = Vec::new();
+    let mut v = Verdict::default();
 
     let mut profiles = Vec::new();
     for backend in Backend::all() {
         match profile_backend(&backend, calls) {
             Ok(p) => profiles.push(p),
-            Err(e) => failures.push(e),
+            Err(e) => v.fail(e),
         }
     }
 
@@ -302,7 +291,7 @@ fn main() {
             &format!("flamegraphs/{}.collapsed", p.label),
             &collapsed_lines(&folds),
         ) {
-            failures.push(format!("{}: could not write flamegraph: {e}", p.label));
+            v.fail(format!("{}: could not write flamegraph: {e}", p.label));
         }
         let mut tenants = String::new();
         for (tenant, folds) in fold_samples_by_tenant(&p.samples, &p.label) {
@@ -314,7 +303,7 @@ fn main() {
             &format!("flamegraphs/{}.tenants.collapsed", p.label),
             &tenants,
         ) {
-            failures.push(format!(
+            v.fail(format!(
                 "{}: could not write tenant flamegraph: {e}",
                 p.label
             ));
@@ -354,11 +343,8 @@ fn main() {
         .field("calls", calls)
         .field("rows", Json::Arr(rows.clone()));
 
-    if knob("SB_PROFILE_WRITE", 0) != 0 {
-        match write_json("profile_baseline", &rows_doc) {
-            Ok(path) => println!("\nwrote baseline {}", path.display()),
-            Err(e) => failures.push(format!("could not write baseline: {e}")),
-        }
+    if knob("SB_PROFILE_WRITE", 0) != 0 && !v.write("profile_baseline", &rows_doc) {
+        v.fail("could not write baseline");
     }
 
     // The diff: against the committed baseline when present, else a
@@ -380,7 +366,7 @@ fn main() {
         let mut diff_table = Vec::new();
         for p in &profiles {
             let Some(d) = diff_backend(doc, p) else {
-                failures.push(format!("{}: no baseline row to diff against", p.label));
+                v.fail(format!("{}: no baseline row to diff against", p.label));
                 continue;
             };
             let d_e2e = d.cur_e2e - d.base_e2e;
@@ -408,7 +394,7 @@ fn main() {
                 account,
             ]);
             if d.unattributed_regression {
-                failures.push(format!(
+                v.fail(format!(
                     "{}: end-to-end regressed {:+.1} cycles/call but named phases explain \
                      only {:+.1} (residual {:+.1}, gate {:.0}% of baseline)",
                     d.label,
@@ -428,16 +414,6 @@ fn main() {
     }
 
     let doc = rows_doc.field("diff", Json::Arr(diffs.iter().map(diff_row).collect()));
-    match write_json("profile", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("sampled shares match exact profiles; every regression attributed");
+    v.write("profile", &doc);
+    v.finish("sampled shares match exact profiles; every regression attributed");
 }

@@ -11,7 +11,8 @@
 //!
 //! A CI-enforced **five-way gate** closes the sweep: every personality's
 //! traced phase self-times must decompose its end-to-end cycles (within
-//! 5%), the trap kernels' calibrated service time must exceed
+//! 5%, over a well-formed span stream — [`sb_bench::harness`]'s phase
+//! identity), the trap kernels' calibrated service time must exceed
 //! SkyBridge's, and MPK's must undercut it — two WRPKRU flips
 //! (2 × 28 cycles) against a VMFUNC round trip (2 × 134). A breach
 //! prints `FAIL:` lines and exits nonzero.
@@ -25,29 +26,23 @@
 //! trace-event file: open <https://ui.perfetto.dev> and drag it in, or
 //! load it at `chrome://tracing`.
 
+use sb_bench::harness::{drive, phase_identity, sim_cycles, Verdict, PHASE_TOLERANCE};
 use sb_bench::{
     knob, print_table,
-    report::{run_stats_json, write_json, write_raw, Json},
+    report::{run_stats_json, write_raw, Json},
 };
-use sb_observe::{attribute, chrome_trace, Recorder, SpanKind};
-use sb_runtime::{AdmissionPolicy, RequestFactory, RuntimeConfig, Transport};
+use sb_observe::{chrome_trace, Recorder};
+use sb_runtime::{AdmissionPolicy, RuntimeConfig, Transport};
 use skybridge_repro::scenarios::runtime::{
     build_backend, ops_per_sec, run_open_loop, Backend, ServingScenario,
 };
 
-/// Mean service cycles of one request, measured on a warm lane.
-fn calibrate(transport: &mut dyn Transport, factory: &mut RequestFactory) -> f64 {
-    let (warm, n) = (64, 256);
-    for _ in 0..warm {
-        let req = factory.make(transport.now(0), None);
-        transport.call(0, &req).expect("calibration call");
-    }
-    let t0 = transport.now(0);
-    for _ in 0..n {
-        let req = factory.make(transport.now(0), None);
-        transport.call(0, &req).expect("calibration call");
-    }
-    (transport.now(0) - t0) as f64 / n as f64
+/// Mean service cycles of one request on `backend`'s warm lane.
+fn calibrate(backend: &Backend) -> f64 {
+    let mut t = build_backend(ServingScenario::Kv, backend, 1);
+    let mut f = ServingScenario::Kv.factory();
+    drive(t.as_mut(), &mut f, 64, "calibration call");
+    sim_cycles(t.as_mut(), &mut f, 256, "calibration call")
 }
 
 /// `SB_TRACE` mode: one fully traced cell whose Chrome trace goes to
@@ -70,12 +65,7 @@ fn dump_trace(which: &str, requests: u64, capacity: usize) {
         recorder: recorder.clone(),
         ..RuntimeConfig::default()
     };
-    let mut cal = build_backend(ServingScenario::Kv, &backend, 1);
-    let mut cal_factory = RequestFactory::new(
-        ServingScenario::Kv.workload(),
-        ServingScenario::Kv.payload(),
-    );
-    let svc = calibrate(cal.as_mut(), &mut cal_factory);
+    let svc = calibrate(&backend);
     let workers = 4;
     let traced = requests.min(2_000);
     let stats = run_open_loop(
@@ -107,92 +97,50 @@ fn dump_trace(which: &str, requests: u64, capacity: usize) {
     }
 }
 
-/// Tolerance on the per-personality phase-decomposition identity.
-const PHASE_TOLERANCE: f64 = 0.05;
-
 /// The five-way gate: every personality's traced phases must decompose
 /// its end-to-end cycles, and the calibrated service times must order
 /// the way the crossing costs say they should — each trap kernel above
 /// SkyBridge, and MPK below it (two WRPKRU flips against a VMFUNC round
 /// trip). `svcs` carries the (label, service cycles) pairs the sweep
-/// calibrated; breaches land in `failures`.
-fn five_way_gate(svcs: &[(String, f64)], failures: &mut Vec<String>) -> Json {
+/// calibrated; breaches land in `v`.
+fn five_way_gate(svcs: &[(String, f64)], v: &mut Verdict) -> Json {
+    let svc_of = |label: &str| svcs.iter().find(|(l, _)| l == label).map(|&(_, s)| s);
     let mut rows = Vec::new();
     for backend in Backend::all() {
         let recorder = Recorder::new(1 << 14);
         let mut t = build_backend(ServingScenario::Kv, &backend, 1);
-        let mut f = RequestFactory::new(
-            ServingScenario::Kv.workload(),
-            ServingScenario::Kv.payload(),
-        );
-        for _ in 0..64 {
-            let r = f.make(t.now(0), None);
-            t.call(0, &r).expect("warm call");
-        }
+        let mut f = ServingScenario::Kv.factory();
+        drive(t.as_mut(), &mut f, 64, "warm call");
         t.attach_recorder(recorder.clone());
-        for _ in 0..256 {
-            let r = f.make(t.now(0), None);
-            t.call(0, &r).expect("traced call");
-        }
-        let by_lane: Vec<_> = (0..recorder.lane_count())
-            .map(|l| recorder.events(l))
-            .collect();
-        let prof = attribute(&by_lane);
-        let ratio = if prof.end_to_end == 0 {
-            0.0
-        } else {
-            prof.in_call_total() as f64 / prof.end_to_end as f64
-        };
-        if (ratio - 1.0).abs() > PHASE_TOLERANCE {
-            failures.push(format!(
-                "{}: phase self-times cover {:.1}% of end-to-end cycles",
-                backend.label(),
-                ratio * 100.0
-            ));
-        }
-        let mut phases = Vec::new();
-        for kind in SpanKind::ALL {
-            if prof.get(kind) > 0 {
-                phases.push(
-                    Json::obj()
-                        .field("phase", kind.name())
-                        .field("cycles_per_call", prof.per_call(kind)),
-                );
-            }
-        }
-        let svc = svcs
-            .iter()
-            .find(|(l, _)| l == backend.label())
-            .map(|&(_, s)| s)
-            .unwrap_or(0.0);
+        drive(t.as_mut(), &mut f, 256, "traced call");
+        let phases = phase_identity(backend.label(), &recorder, v);
         rows.push(
             Json::obj()
                 .field("transport", backend.label())
-                .field("service_cycles", svc)
-                .field("phase_sum_over_end_to_end", ratio)
-                .field("breakdown", Json::Arr(phases)),
+                .field("service_cycles", svc_of(backend.label()).unwrap_or(0.0))
+                .field("phase_sum_over_end_to_end", phases.ratio)
+                .field("breakdown", phases.breakdown()),
         );
     }
 
-    let svc_of = |label: &str| svcs.iter().find(|(l, _)| l == label).map(|&(_, s)| s);
     match (svc_of("skybridge"), svc_of("mpk")) {
         (Some(sky), Some(mpk)) => {
             if mpk >= sky {
-                failures.push(format!(
+                v.fail(format!(
                     "mpk: {mpk:.0} service cycles/call must undercut skybridge's {sky:.0} — \
                      two WRPKRU flips against a VMFUNC round trip"
                 ));
             }
             for (label, svc) in svcs {
                 if label != "skybridge" && label != "mpk" && *svc <= sky {
-                    failures.push(format!(
+                    v.fail(format!(
                         "{label}: trap IPC at {svc:.0} cycles/call must cost more than \
                          skybridge's {sky:.0}"
                     ));
                 }
             }
         }
-        _ => failures.push("five-way gate: skybridge or mpk missing from the sweep".to_string()),
+        _ => v.fail("five-way gate: skybridge or mpk missing from the sweep"),
     }
 
     Json::obj()
@@ -216,9 +164,7 @@ fn main() {
     let mut json_rows: Vec<Json> = Vec::new();
     let mut svcs: Vec<(String, f64)> = Vec::new();
     for (ti, transport) in Backend::all().iter().enumerate() {
-        let mut cal_transport = build_backend(scenario, transport, 1);
-        let mut cal_factory = RequestFactory::new(scenario.workload(), scenario.payload());
-        let svc = calibrate(cal_transport.as_mut(), &mut cal_factory);
+        let svc = calibrate(transport);
         svcs.push((transport.label().to_string(), svc));
         let mut rows = Vec::new();
         for (wi, &workers) in threads.iter().enumerate() {
@@ -265,8 +211,8 @@ fn main() {
         );
     }
 
-    let mut failures: Vec<String> = Vec::new();
-    let five_way = five_way_gate(&svcs, &mut failures);
+    let mut v = Verdict::default();
+    let five_way = five_way_gate(&svcs, &mut v);
     let mut order = svcs.clone();
     order.sort_by(|a, b| a.1.total_cmp(&b.1));
     print_table(
@@ -286,10 +232,7 @@ fn main() {
         .field("queue_capacity", capacity)
         .field("five_way", five_way)
         .field("rows", Json::Arr(json_rows));
-    match write_json("runtime_scaling", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
+    v.write("runtime_scaling", &doc);
     println!(
         "\nShape to check: at every thread count SkyBridge's zero-shed\n\
          offered load sits above each trap-based kernel's with MPK's above\n\
@@ -301,14 +244,8 @@ fn main() {
         dump_trace(&which, requests, capacity);
     }
 
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
+    v.finish(
         "five-way gate holds: phases decompose on every personality; \
-         traps > skybridge > mpk per crossing"
+         traps > skybridge > mpk per crossing",
     );
 }

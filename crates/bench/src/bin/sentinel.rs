@@ -6,11 +6,10 @@
 //! Three sections, all CI-enforced:
 //!
 //! 1. **Overhead gate** — on one transport instance per personality,
-//!    interleaved min-of-N (order alternating every round, one full
-//!    re-measurement pass on a breach): `sentinel` mode (live recorder
-//!    plus per-call SLO recording, the production configuration) must
-//!    cost at most 5% over `traced` mode, the live recorder alone —
-//!    PR 4's enabled mode.
+//!    interleaved min-of-N ([`sb_bench::harness::interleave`], up to
+//!    three passes): `sentinel` mode (live recorder plus per-call SLO
+//!    recording, the production configuration) must cost at most 5%
+//!    over `traced` mode, the live recorder alone.
 //! 2. **Critical path** — a depth-3 chain per personality, assembled
 //!    into span trees; the critical path must cover end-to-end cycles
 //!    within 5% on every request.
@@ -19,20 +18,13 @@
 //!    `results/BENCH_runtime.json` — the single canonical copy — and
 //!    then written back to the same path (the baseline is read before
 //!    the write; refreshing it means committing the rewritten file).
-//!    Override the path with `SB_BENCH_BASELINE`. Any personality
-//!    regressing more than 10% fails the run, after up to two fresh
-//!    re-measurements. The gate demands *coherent* regression across
-//!    two signals: raw ns/call, and ns/call divided by the minimum
-//!    of a memory-bound reference loop probed between reps (the
-//!    "host speed unit"). A real code regression inflates both
-//!    together; host noise moves them apart — a sustained slow host
-//!    inflates raw ns but divides out of the units, while a lucky
-//!    layout draw for the reference loop moves the units while raw
-//!    ns stands still — so only the *smaller* of the two regressions
-//!    counts against the budget. Re-measurements run in a *fresh
-//!    child process* (`SB_ONLY=<transport>` re-exec): the residual
-//!    run-to-run variance is the address-space layout drawn at
-//!    process start, which no amount of in-process repetition
+//!    Any personality regressing more than 10% on the harness's
+//!    coherent two-signal test ([`sb_bench::harness::BaseRow::ratio`]:
+//!    raw ns/call and ns/call over the host speed unit must regress
+//!    together) fails the run, after up to two re-measurements. These
+//!    run in a *fresh child process* (`SB_ONLY=<transport>` re-exec):
+//!    the residual run-to-run variance is the address-space layout
+//!    drawn at process start, which no amount of in-process repetition
 //!    re-rolls. Simulated cycles per call ride along in the rows as
 //!    the fully machine-independent signal.
 //!
@@ -44,15 +36,11 @@
 use std::hint::black_box;
 use std::time::Instant;
 
-use sb_bench::{
-    baseline_field, knob, print_table,
-    report::{write_json, Json},
-    unit_probe,
-};
+use sb_bench::harness::{drive, interleave, remeasure, sim_cycles, Baseline, MinOfN, Verdict};
+use sb_bench::{knob, print_table, report::Json};
 use sb_observe::Recorder;
-use sb_runtime::{RequestFactory, Transport};
+use sb_runtime::Transport;
 use sb_sentinel::{assemble, SloHandle, SloSpec};
-use sb_ycsb::WorkloadSpec;
 use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 use skybridge_repro::scenarios::sentinel::chain_for;
 
@@ -64,21 +52,16 @@ const PATH_TOLERANCE: f64 = 0.05;
 /// fails.
 const REGRESSION_BUDGET: f64 = 0.10;
 
-fn factory() -> RequestFactory {
-    RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64)
-}
-
 /// One timed repetition. Both modes execute this exact function — one
 /// call site, `inline(never)` — so they share machine code, loop shape,
 /// alignment, and per-call `now()` reads, and the measured difference
 /// is the sentinel's SLO recording and nothing else. (Letting the two
 /// modes inline separately skews a ~1 µs SkyBridge call by >10% from
-/// code layout alone.) With `slo: None` this is PR 4's `traced` enabled
-/// mode; with `Some` it is the full production path the dispatcher
-/// runs.
+/// code layout alone.) With `slo: None` this is the `traced` mode;
+/// with `Some` it is the full production path the dispatcher runs.
 #[inline(never)]
 fn rep(t: &mut dyn Transport, calls: u64, slo: Option<&SloHandle>) -> f64 {
-    let mut f = factory();
+    let mut f = ServingScenario::Kv.factory();
     let wall = Instant::now();
     for _ in 0..calls {
         let r = f.make(t.now(0), None);
@@ -101,17 +84,6 @@ fn rep(t: &mut dyn Transport, calls: u64, slo: Option<&SloHandle>) -> f64 {
     wall.elapsed().as_nanos() as f64 / calls as f64
 }
 
-// The KV store behind the service grows until the 10k keyspace is fully
-// populated; warming must ride past that point or the first-timed mode
-// runs against a smaller, faster store and the comparison is unfair.
-fn warm(t: &mut dyn Transport) {
-    let mut f = factory();
-    for _ in 0..25_000 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("warm call");
-    }
-}
-
 struct BackendResult {
     label: String,
     traced_ns: f64,
@@ -125,48 +97,37 @@ struct BackendResult {
     cycles_per_call: f64,
     path_cover: f64,
     dominant: String,
-    failures: Vec<String>,
 }
 
-fn run_backend(backend: &Backend, calls: u64, reps: u64) -> BackendResult {
+fn run_backend(backend: &Backend, calls: u64, reps: u64, v: &mut Verdict) -> BackendResult {
     let label = backend.label().to_string();
-    let mut failures = Vec::new();
 
     // Both modes run on ONE transport instance (separate instances
-    // differ by several percent from allocation layout alone), reps
-    // interleaved with alternating order so slow host drift cancels;
-    // min-of-N filters scheduler noise, and a gate breach earns one
-    // full re-measurement pass with the minima carried over.
+    // differ by several percent from allocation layout alone), with up
+    // to three interleaved passes.
     let mut t = build_backend(ServingScenario::Kv, backend, 1);
     let recorder = Recorder::new(sb_observe::DEFAULT_RING_CAPACITY);
     t.attach_recorder(recorder.clone());
     let slo = SloHandle::new(SloSpec::default());
-    let mut unit_arr = vec![0u64; 1 << 19]; // 4 MiB of u64.
-    warm(t.as_mut());
-    let mut ns = [f64::INFINITY; 2];
-    let mut unit_ns = f64::INFINITY;
-    for pass in 0..3 {
-        for i in 0..reps {
-            for j in 0..2usize {
-                let m = if i % 2 == 0 { j } else { 1 - j };
-                let slo_arg = if m == 0 { None } else { Some(&slo) };
-                ns[m] = ns[m].min(rep(t.as_mut(), calls, slo_arg));
-            }
-            // Probe the unit between reps so its samples share the
-            // run's timeline: both minima land in quiet windows.
-            unit_ns = unit_ns.min(unit_probe(&mut unit_arr));
-        }
-        if ns[1] <= ns[0] * (1.0 + SENTINEL_BUDGET) {
-            break;
-        }
-        if pass == 0 {
-            eprintln!("note: {label}: sentinel gate breached on pass 1, re-measuring");
-        }
-    }
-    let [traced_ns, sentinel_ns] = ns;
-    let units_per_call = sentinel_ns / unit_ns;
+    // The KV store behind the service grows until the 10k keyspace is
+    // fully populated; warming must ride past that point or the
+    // first-timed mode runs against a smaller, faster store and the
+    // comparison is unfair.
+    let mut f = ServingScenario::Kv.factory();
+    drive(t.as_mut(), &mut f, 25_000, "warm call");
+    let MinOfN {
+        ns: [traced_ns, sentinel_ns],
+        unit_ns,
+    } = interleave(
+        &label,
+        reps,
+        3,
+        true,
+        |m| rep(t.as_mut(), calls, (m == 1).then_some(&slo)),
+        |ns| ns[1] <= ns[0] * (1.0 + SENTINEL_BUDGET),
+    );
     if sentinel_ns > traced_ns * (1.0 + SENTINEL_BUDGET) {
-        failures.push(format!(
+        v.fail(format!(
             "{label}: sentinel costs {sentinel_ns:.0} ns/call vs {traced_ns:.0} traced \
              (budget {:.0}%)",
             SENTINEL_BUDGET * 100.0
@@ -175,16 +136,8 @@ fn run_backend(backend: &Backend, calls: u64, reps: u64) -> BackendResult {
 
     // The machine-independent signal: simulated cycles per call on a
     // deterministic run.
-    let cycles_per_call = {
-        let t0 = t.now(0);
-        let mut f = factory();
-        let n = 512u64;
-        for _ in 0..n {
-            let r = f.make(t.now(0), None);
-            t.call(0, &r).expect("cycle-count call");
-        }
-        (t.now(0) - t0) as f64 / n as f64
-    };
+    let mut f = ServingScenario::Kv.factory();
+    let cycles_per_call = sim_cycles(t.as_mut(), &mut f, 512, "cycle-count call");
 
     // Critical path on a fresh multi-hop chain: the assembled tree must
     // cover the client-observed end-to-end cycles on every request.
@@ -208,11 +161,11 @@ fn run_backend(backend: &Backend, calls: u64, reps: u64) -> BackendResult {
                     dominant = format!("{} ({} cyc)", step.kind.name(), step.cycles);
                 }
             }
-            None => failures.push(format!("{label}: request {corr} missing from the forest")),
+            None => v.fail(format!("{label}: request {corr} missing from the forest")),
         }
     }
     if (worst - 1.0).abs() > PATH_TOLERANCE {
-        failures.push(format!(
+        v.fail(format!(
             "{label}: critical path covers {:.1}% of end-to-end cycles",
             worst * 100.0
         ));
@@ -222,12 +175,11 @@ fn run_backend(backend: &Backend, calls: u64, reps: u64) -> BackendResult {
         label,
         traced_ns,
         sentinel_ns,
-        units_per_call,
+        units_per_call: sentinel_ns / unit_ns,
         unit_ns,
         cycles_per_call,
         path_cover: worst,
         dominant,
-        failures,
     }
 }
 
@@ -236,7 +188,7 @@ fn run_backend(backend: &Backend, calls: u64, reps: u64) -> BackendResult {
 /// run-to-run variance left is the address-space layout drawn at
 /// process start — re-rolled only by a re-exec, never by repeating
 /// the measurement in-process.
-fn remeasure(label: &str, calls: u64, reps: u64) -> Option<(f64, f64)> {
+fn remeasure_child(label: &str, calls: u64, reps: u64) -> Option<(f64, f64)> {
     let exe = std::env::current_exe().ok()?;
     let out = std::process::Command::new(exe)
         .env("SB_ONLY", label)
@@ -263,74 +215,54 @@ fn main() {
             .into_iter()
             .find(|b| b.label() == only)
             .unwrap_or_else(|| panic!("SB_ONLY={only}: unknown transport"));
-        let r = run_backend(&backend, calls, reps);
+        let r = run_backend(&backend, calls, reps, &mut Verdict::default());
         println!("ns_per_call:{}", r.sentinel_ns);
         println!("units_per_call:{}", r.units_per_call);
         return;
     }
-    let baseline_path = std::env::var("SB_BENCH_BASELINE")
-        .unwrap_or_else(|_| "results/BENCH_runtime.json".to_string());
+    let baseline = Baseline::load();
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
     let mut bench_rows = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
-    let baseline = if baseline_path == "off" {
-        None
-    } else {
-        std::fs::read_to_string(&baseline_path).ok()
-    };
+    let mut v = Verdict::default();
 
     for backend in Backend::all() {
-        let r = run_backend(&backend, calls, reps);
-        let base = baseline.as_deref().and_then(|doc| {
-            Some((
-                baseline_field(doc, &r.label, "ns_per_call")?,
-                baseline_field(doc, &r.label, "units_per_call")?,
-            ))
-        });
-        // The gate value: the *smaller* regression of the two signals.
-        // Raw ns and host-normalized units move apart under host noise
-        // but together under a real code regression.
-        let reg = |ns: f64, units: f64, (base_ns, base_units): (f64, f64)| {
-            (ns / base_ns).min(units / base_units) - 1.0
-        };
-        // A breach of the trajectory gate earns up to two fresh
-        // re-measurements in child processes — same policy as the tax
-        // gate: a transient hiccup or an unlucky layout draw must not
-        // read as a code regression; a real regression survives every
-        // re-roll.
-        let (mut gate_ns, mut gate_units) = (r.sentinel_ns, r.units_per_call);
-        if let Some(base) = base {
-            let mut tries = 0;
-            while reg(gate_ns, gate_units, base) > REGRESSION_BUDGET && tries < 2 {
-                tries += 1;
-                eprintln!(
-                    "note: {}: baseline gate breached ({gate_ns:.0} ns, {gate_units:.0} \
-                     units vs {:.0} ns, {:.0} units), re-measuring in a fresh process",
-                    r.label, base.0, base.1
-                );
-                let (ns2, units2) = remeasure(&r.label, calls, reps).unwrap_or_else(|| {
-                    // A host where re-exec is unavailable still gets an
-                    // in-process retry for its burst-filtering value.
-                    let again = run_backend(&backend, calls, reps);
-                    (again.sentinel_ns, again.units_per_call)
-                });
-                gate_ns = gate_ns.min(ns2);
-                gate_units = gate_units.min(units2);
-            }
-        }
-        let vs_baseline = base.map(|base| {
-            let ratio = reg(gate_ns, gate_units, base);
+        let r = run_backend(&backend, calls, reps, &mut v);
+        // A breach of the trajectory gate earns fresh re-measurements in
+        // child processes, minima carried over: an unlucky layout draw
+        // must not read as a code regression.
+        let vs_baseline = baseline.row(&r.label).map(|base| {
+            let (gate_ns, gate_units) = remeasure(
+                (r.sentinel_ns, r.units_per_call),
+                |&(ns, units)| base.ratio(ns, units) - 1.0 > REGRESSION_BUDGET,
+                |(ns, units)| {
+                    eprintln!(
+                        "note: {}: baseline gate breached ({ns:.0} ns, {units:.0} units vs \
+                         {:.0} ns, {:.0} units), re-measuring in a fresh process",
+                        r.label, base.ns, base.units
+                    );
+                    let (ns2, units2) =
+                        remeasure_child(&r.label, calls, reps).unwrap_or_else(|| {
+                            // A host where re-exec is unavailable still gets
+                            // an in-process retry for its burst-filtering
+                            // value.
+                            let again = run_backend(&backend, calls, reps, &mut Verdict::default());
+                            (again.sentinel_ns, again.units_per_call)
+                        });
+                    (ns.min(ns2), units.min(units2))
+                },
+            );
+            let ratio = base.ratio(gate_ns, gate_units) - 1.0;
             if ratio > REGRESSION_BUDGET {
-                failures.push(format!(
+                v.fail(format!(
                     "{}: {gate_ns:.0} ns/call and {gate_units:.0} units/call both \
                      regressed {:+.1}% over the committed {:.0} ns / {:.0} units \
                      (budget {:.0}%)",
                     r.label,
                     ratio * 100.0,
-                    base.0,
-                    base.1,
+                    base.ns,
+                    base.units,
                     REGRESSION_BUDGET * 100.0
                 ));
             }
@@ -363,7 +295,6 @@ fn main() {
                 .field("host_unit_ns", r.unit_ns)
                 .field("cycles_per_call", r.cycles_per_call),
         );
-        failures.extend(r.failures);
     }
     print_table(
         &format!("sentinel tax ({calls} calls/rep, best of {reps})"),
@@ -378,9 +309,7 @@ fn main() {
         ],
         &rows,
     );
-    if baseline.is_none() && baseline_path != "off" {
-        println!("note: no committed baseline at {baseline_path}; regression gate skipped");
-    }
+    baseline.note_if_missing("regression gate skipped");
 
     let doc = Json::obj()
         .field("bench", "sentinel")
@@ -388,25 +317,12 @@ fn main() {
         .field("path_tolerance", PATH_TOLERANCE)
         .field("regression_budget", REGRESSION_BUDGET)
         .field("rows", Json::Arr(json_rows));
-    match write_json("sentinel", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
+    v.write("sentinel", &doc);
     let bench_doc = Json::obj()
         .field("bench", "runtime_baseline")
         .field("calls", calls)
         .field("reps", reps)
         .field("rows", Json::Arr(bench_rows));
-    match write_json("BENCH_runtime", &bench_doc) {
-        Ok(path) => println!("wrote {}", path.display()),
-        Err(e) => eprintln!("could not write BENCH_runtime.json: {e}"),
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("sentinel tax within budget; critical paths cover end-to-end; no regression");
+    v.write("BENCH_runtime", &bench_doc);
+    v.finish("sentinel tax within budget; critical paths cover end-to-end; no regression");
 }

@@ -25,9 +25,10 @@
 //! Knobs: `SB_TENANT_REQUESTS` (arrivals per sweep cell, default
 //! 4,000), `SB_TENANT_SEED` (stream seed, default 0x7e47).
 
+use sb_bench::harness::Verdict;
 use sb_bench::{
     knob, print_table,
-    report::{run_stats_json, write_json, Json},
+    report::{run_stats_json, Json},
 };
 use sb_runtime::{
     AdmissionPolicy, PoissonArrivals, RequestFactory, RunStats, RuntimeConfig, ServerRuntime,
@@ -117,26 +118,26 @@ fn quarantine_count(out: &TenantOutcome) -> usize {
 fn main() {
     let requests = knob("SB_TENANT_REQUESTS", 4_000) as u64;
     let seed = knob("SB_TENANT_SEED", 0x7e47) as u64;
-    let mut failures: Vec<String> = Vec::new();
+    let mut v = Verdict::default();
 
     // Section 1: the skew sweep.
     let mut rows = Vec::new();
     let mut sweep_json = Vec::new();
     for backend in Backend::all() {
-        let gap = cycles_per_call(&backend) / RHO;
+        let gap = cycles_per_call(ServingScenario::Kv, &backend) / RHO;
         for &tenants in &TENANT_COUNTS {
             for zipf in [false, true] {
                 let skew = if zipf { "zipf" } else { "uniform" };
                 let stats = run_sweep_cell(&backend, tenants, zipf, gap, requests, seed);
                 let jain = jain_index(&stats);
                 if !stats.tenants_conserved() {
-                    failures.push(format!(
+                    v.fail(format!(
                         "{} {tenants} tenants {skew}: per-tenant ledgers do not balance",
                         backend.label()
                     ));
                 }
                 if !zipf && jain < FAIRNESS_FLOOR {
-                    failures.push(format!(
+                    v.fail(format!(
                         "{} {tenants} tenants uniform: Jain index {jain:.4} below \
                          floor {FAIRNESS_FLOOR}",
                         backend.label()
@@ -191,19 +192,19 @@ fn main() {
             let isolated = out.isolated(ISOLATION_HEADROOM);
             let quarantined = out.aggressor_quarantined();
             if !out.solo.tenants_conserved() || !out.contended.tenants_conserved() {
-                failures.push(format!(
+                v.fail(format!(
                     "{} {}: noisy-neighbor ledgers do not balance",
                     out.backend, out.mode
                 ));
             }
             if !quarantined {
-                failures.push(format!(
+                v.fail(format!(
                     "{} {}: storming aggressor was never quarantined",
                     out.backend, out.mode
                 ));
             }
             if !isolated {
-                failures.push(format!(
+                v.fail(format!(
                     "{} {}: victim isolation breached (worst p99 ratio {:.3}, \
                      headroom {ISOLATION_HEADROOM}): {:?}",
                     out.backend,
@@ -274,19 +275,9 @@ fn main() {
         .field("isolation_headroom", ISOLATION_HEADROOM)
         .field("sweep", Json::Arr(sweep_json))
         .field("noisy_neighbor", Json::Arr(nn_json));
-    match write_json("tenant", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!(
+    v.write("tenant", &doc);
+    v.finish(&format!(
         "tenant gates hold: uniform Jain >= {FAIRNESS_FLOOR}, every noisy-neighbor cell \
          isolated within {ISOLATION_HEADROOM}x and the aggressor quarantined"
-    );
+    ));
 }

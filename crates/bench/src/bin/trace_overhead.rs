@@ -15,18 +15,16 @@
 //!   with the cycle sampler enabled, so the tax gate bounds the whole
 //!   always-on observability stack (spans + sampling).
 //!
-//! Each mode runs `SB_REPS` timed repetitions, interleaved and with the
-//! order alternating every round so slow host drift cancels, keeping
-//! the fastest (min-of-N filters scheduler noise); a gate breach earns
-//! one full re-measurement pass with the minima carried over, so a
+//! Each mode runs `SB_REPS` timed repetitions through
+//! [`sb_bench::harness::interleave`] (order alternating every round,
+//! min-of-N, up to four passes with the minima carried over), so a
 //! one-off host spike can't fail CI but a real regression still does.
 //! Gates, all CI-enforced:
 //!
 //! 1. `disabled` within 5% of `baseline` — attached-but-off is free;
 //! 2. `enabled` within 5% of `disabled` — the always-on tax is bounded;
-//! 3. the in-call phase self-times decompose end-to-end cycles within
-//!    5% (they are equal by construction; the gate catches regressions
-//!    in the emit sites, e.g. a dropped or double-counted span);
+//! 3. the harness's phase identity: in-call phase self-times decompose
+//!    end-to-end cycles within 5% over a well-formed span stream;
 //! 4. the quiescent profiled capture loses nothing: zero ring
 //!    overwrites, zero dropped/poisoned samples, zero export
 //!    truncation;
@@ -39,50 +37,18 @@
 //! (repetitions per mode, default 7), `SB_RING` (enabled-mode ring
 //! capacity in events, default [`sb_observe::DEFAULT_RING_CAPACITY`]).
 
-use std::hint::black_box;
-use std::time::Instant;
-
+use sb_bench::harness::{drive, interleave, lossless, phase_identity, timed_calls, Verdict};
 use sb_bench::{
     knob, print_table,
-    report::{snapshot_json, write_json, Json},
+    report::{snapshot_json, Json},
 };
 use sb_microkernel::Personality;
-use sb_observe::{
-    attribute, chrome_trace, validate_json, Recorder, Registry, SamplerConfig, SpanKind,
-};
-use sb_runtime::{RequestFactory, ServiceSpec, SkyBridgeTransport, Transport, TrapIpcTransport};
-use sb_ycsb::WorkloadSpec;
+use sb_observe::{chrome_trace, validate_json, Recorder, Registry, SamplerConfig};
+use sb_runtime::{SkyBridgeTransport, Transport};
+use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 
 /// Host-noise guard on the two overhead gates: 5% relative.
 const OVERHEAD_BUDGET: f64 = 0.05;
-/// Tolerance on the phase-decomposition identity.
-const PHASE_TOLERANCE: f64 = 0.05;
-
-fn factory() -> RequestFactory {
-    RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64)
-}
-
-/// One timed repetition: `calls` requests through lane 0, returning
-/// host ns per call.
-fn rep(t: &mut dyn Transport, calls: u64) -> f64 {
-    let mut f = factory();
-    let wall = Instant::now();
-    for _ in 0..calls {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("call");
-        black_box(t.reply(0));
-    }
-    wall.elapsed().as_nanos() as f64 / calls as f64
-}
-
-/// Warm-up: populate caches, TLBs and lane allocations.
-fn warm(t: &mut dyn Transport) {
-    let mut f = factory();
-    for _ in 0..256 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("warm call");
-    }
-}
 
 struct TransportResult {
     name: &'static str,
@@ -94,29 +60,22 @@ struct TransportResult {
     trace_events: u64,
     trace_valid: bool,
     samples_taken: u64,
-    failures: Vec<String>,
 }
 
-fn build(name: &str, spec: &ServiceSpec) -> Box<dyn Transport> {
-    match name {
-        "skybridge" => Box::new(SkyBridgeTransport::new(1, spec)),
-        _ => Box::new(TrapIpcTransport::new(Personality::sel4(), 1, spec)),
-    }
-}
-
-fn run_transport(name: &'static str, calls: u64, reps: u64) -> TransportResult {
-    let spec = ServiceSpec::default();
-    let mut failures = Vec::new();
-
+fn run_transport(
+    name: &'static str,
+    backend: &Backend,
+    calls: u64,
+    reps: u64,
+    v: &mut Verdict,
+) -> TransportResult {
     // All three modes run on ONE transport instance, swapping only the
     // attached recorder between repetitions: separate instances differ
     // by several percent from allocation layout alone, which would
     // drown the quantity under test. `baseline` is a transport whose
     // recorder is the constructor-default off handle, `disabled` an
     // explicitly attached off recorder (the attach must be free), and
-    // `enabled` the live ring. Repetitions interleave with the order
-    // alternating every round so slow host drift cancels; min-of-N
-    // filters the jitter on top.
+    // `enabled` the live ring.
     let recorder = Recorder::new(knob("SB_RING", sb_observe::DEFAULT_RING_CAPACITY));
     // The enabled mode carries the cycle sampler too, so the ≤5% tax
     // gate bounds spans *and* sampling together — the full always-on
@@ -129,45 +88,38 @@ fn run_transport(name: &'static str, calls: u64, reps: u64) -> TransportResult {
         });
     }
     let modes: [Recorder; 3] = [Recorder::off(), Recorder::off(), recorder.clone()];
-    let mut t = build(name, &spec);
-    warm(t.as_mut());
-    // Min-of-N only ever over-reports a cost (noise inflates a minimum,
-    // never deflates it), so on a gate breach re-measurement passes are
-    // sound: the minima carry across passes and a genuine regression
-    // fails every pass, while a scheduler spike that inflated one
-    // mode's minimum washes out. Three retry passes keep the gate
-    // honest on busy shared hosts where a single re-run still lands
-    // inside the same noise window.
-    let mut ns = [f64::INFINITY; 3];
-    for pass in 0..4 {
-        for i in 0..reps {
-            for j in 0..3usize {
-                let m = if i % 2 == 0 { j } else { 2 - j };
-                t.attach_recorder(modes[m].clone());
-                ns[m] = ns[m].min(rep(t.as_mut(), calls));
-            }
-        }
-        let within_budget = |cost: f64, base: f64| cost <= base * (1.0 + OVERHEAD_BUDGET);
-        if within_budget(ns[1], ns[0]) && within_budget(ns[2], ns[1]) {
-            break;
-        }
-        if pass < 3 {
-            eprintln!(
-                "note: {name}: gate breached on pass {}, re-measuring",
-                pass + 1
-            );
-        }
-    }
-    let [baseline_ns, disabled_ns, enabled_ns] = ns;
+    let mut t = build_backend(ServingScenario::Kv, backend, 1);
+    // Warm-up: populate caches, TLBs and lane allocations.
+    drive(
+        t.as_mut(),
+        &mut ServingScenario::Kv.factory(),
+        256,
+        "warm call",
+    );
+    // Up to four passes keep the gate honest on busy shared hosts where
+    // a single re-run still lands inside the same noise window.
+    let within_budget = |cost: f64, base: f64| cost <= base * (1.0 + OVERHEAD_BUDGET);
+    let [baseline_ns, disabled_ns, enabled_ns] = interleave(
+        name,
+        reps,
+        4,
+        false,
+        |m| {
+            t.attach_recorder(modes[m].clone());
+            timed_calls(t.as_mut(), &mut ServingScenario::Kv.factory(), calls)
+        },
+        |ns| within_budget(ns[1], ns[0]) && within_budget(ns[2], ns[1]),
+    )
+    .ns;
     t.attach_recorder(recorder.clone());
 
-    if disabled_ns > baseline_ns * (1.0 + OVERHEAD_BUDGET) {
-        failures.push(format!(
+    if !within_budget(disabled_ns, baseline_ns) {
+        v.fail(format!(
             "{name}: disabled recorder costs {disabled_ns:.0} ns/call vs {baseline_ns:.0} baseline"
         ));
     }
-    if enabled_ns > disabled_ns * (1.0 + OVERHEAD_BUDGET) {
-        failures.push(format!(
+    if !within_budget(enabled_ns, disabled_ns) {
+        v.fail(format!(
             "{name}: enabled tracing costs {enabled_ns:.0} ns/call vs {disabled_ns:.0} disabled \
              (budget {:.0}%)",
             OVERHEAD_BUDGET * 100.0
@@ -179,90 +131,45 @@ fn run_transport(name: &'static str, calls: u64, reps: u64) -> TransportResult {
     // ring holds completely (a call emits at most ~12 events).
     recorder.clear();
     let profiled = (recorder.capacity() / 16).clamp(32, 512) as u64;
-    let mut f = factory();
-    for _ in 0..profiled {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("profiled call");
-    }
-    let by_lane: Vec<_> = (0..recorder.lane_count())
-        .map(|l| recorder.events(l))
-        .collect();
-    let prof = attribute(&by_lane);
-    let phase_ratio = if prof.end_to_end == 0 {
-        0.0
-    } else {
-        prof.in_call_total() as f64 / prof.end_to_end as f64
-    };
-    if (phase_ratio - 1.0).abs() > PHASE_TOLERANCE {
-        failures.push(format!(
-            "{name}: phase self-times cover {:.1}% of end-to-end cycles",
-            phase_ratio * 100.0
-        ));
-    }
-    if prof.unmatched > 0 || prof.unclosed > 0 {
-        failures.push(format!(
-            "{name}: malformed span stream ({} unmatched, {} unclosed)",
-            prof.unmatched, prof.unclosed
-        ));
-    }
+    drive(
+        t.as_mut(),
+        &mut ServingScenario::Kv.factory(),
+        profiled,
+        "profiled call",
+    );
+    let phases = phase_identity(name, &recorder, v);
 
     // A quiescent cell — a capture sized to fit its rings — must lose
-    // nothing: zero ring overwrites, zero sample drops, zero poisoned
-    // or desynced sampler stacks, zero export truncation. Any loss here
-    // is an accounting bug, not pressure.
-    let sstats = recorder.sample_stats();
-    if recorder.dropped() > 0 {
-        failures.push(format!(
-            "{name}: quiescent capture overwrote {} events",
-            recorder.dropped()
-        ));
+    // nothing, export truncation included.
+    if let Err(e) = lossless(&recorder) {
+        v.fail(format!("{name}: quiescent {e}"));
     }
-    if sstats.dropped > 0 || sstats.poisoned > 0 || sstats.broken_events > 0 {
-        failures.push(format!(
-            "{name}: quiescent sampler lost samples ({} dropped, {} poisoned, {} broken events)",
-            sstats.dropped, sstats.poisoned, sstats.broken_events
-        ));
-    }
-
     let trace = chrome_trace(&recorder);
     let trace_valid = validate_json(&trace.json).is_ok() && !trace.truncated;
     if !trace_valid {
-        failures.push(format!(
+        v.fail(format!(
             "{name}: chrome trace export invalid or truncated ({} dropped)",
             trace.dropped
         ));
     }
 
-    let mut phases = Vec::new();
-    for kind in SpanKind::ALL {
-        let cycles = prof.get(kind);
-        if cycles > 0 {
-            phases.push(
-                Json::obj()
-                    .field("phase", kind.name())
-                    .field("cycles_per_call", prof.per_call(kind)),
-            );
-        }
-    }
-    let phases = Json::obj()
-        .field("calls", prof.calls)
-        .field(
-            "end_to_end_cycles_per_call",
-            prof.end_to_end as f64 / prof.calls.max(1) as f64,
-        )
-        .field("breakdown", Json::Arr(phases));
-
+    let prof = &phases.prof;
     TransportResult {
         name,
         baseline_ns,
         disabled_ns,
         enabled_ns,
-        phases,
-        phase_ratio,
+        phases: Json::obj()
+            .field("calls", prof.calls)
+            .field(
+                "end_to_end_cycles_per_call",
+                prof.end_to_end as f64 / prof.calls.max(1) as f64,
+            )
+            .field("breakdown", phases.breakdown()),
+        phase_ratio: phases.ratio,
         trace_events: trace.events,
         trace_valid,
-        samples_taken: sstats.taken,
-        failures,
+        samples_taken: recorder.sample_stats().taken,
     }
 }
 
@@ -272,10 +179,13 @@ fn main() {
 
     let mut rows = Vec::new();
     let mut json_rows = Vec::new();
-    let mut failures: Vec<String> = Vec::new();
+    let mut v = Verdict::default();
 
-    for name in ["skybridge", "sel4-trap"] {
-        let r = run_transport(name, calls, reps);
+    for (name, backend) in [
+        ("skybridge", Backend::SkyBridge),
+        ("sel4-trap", Backend::Trap(Personality::sel4())),
+    ] {
+        let r = run_transport(name, &backend, calls, reps, &mut v);
         rows.push(vec![
             r.name.to_string(),
             format!("{:.0}", r.baseline_ns),
@@ -300,7 +210,6 @@ fn main() {
                 .field("samples_taken", r.samples_taken)
                 .field("profile", r.phases),
         );
-        failures.extend(r.failures);
     }
     print_table(
         &format!("tracing tax ({calls} calls/rep, best of {reps})"),
@@ -317,24 +226,24 @@ fn main() {
 
     // The metrics side of the exporter story: surface the simulated
     // PMU of one traced SkyBridge run through the registry.
-    let spec = ServiceSpec::default();
-    let mut sky = SkyBridgeTransport::new(1, &spec);
+    let mut sky = SkyBridgeTransport::new(1, &ServingScenario::Kv.service_spec());
     let pmu_rec = Recorder::new(1 << 14);
     pmu_rec.enable_sampling(SamplerConfig {
         backend: "skybridge".to_string(),
         ..SamplerConfig::default()
     });
     sky.attach_recorder(pmu_rec.clone());
-    let mut f = factory();
     let mut reg = Registry::new();
     let before = {
         reg.record_pmu("cpu0", &sky.k.machine.cpu(0).pmu);
         reg.snapshot()
     };
-    for _ in 0..256 {
-        let r = f.make(sky.now(0), None);
-        sky.call(0, &r).expect("pmu run call");
-    }
+    drive(
+        &mut sky,
+        &mut ServingScenario::Kv.factory(),
+        256,
+        "pmu run call",
+    );
     reg.record_pmu("cpu0", &sky.k.machine.cpu(0).pmu);
     // Fold the trace-completeness ledger into the same snapshot: ring
     // and sampler loss counters plus the exporter's truncation flag,
@@ -346,19 +255,9 @@ fn main() {
     let doc = Json::obj()
         .field("bench", "trace_overhead")
         .field("overhead_budget", OVERHEAD_BUDGET)
-        .field("phase_tolerance", PHASE_TOLERANCE)
+        .field("phase_tolerance", sb_bench::harness::PHASE_TOLERANCE)
         .field("rows", Json::Arr(json_rows))
         .field("pmu_delta", snapshot_json(&pmu));
-    match write_json("trace_overhead", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-
-    if !failures.is_empty() {
-        for f in &failures {
-            eprintln!("FAIL: {f}");
-        }
-        std::process::exit(1);
-    }
-    println!("tracing tax within budget; phases decompose end-to-end; exports valid");
+    v.write("trace_overhead", &doc);
+    v.finish("tracing tax within budget; phases decompose end-to-end; exports valid");
 }

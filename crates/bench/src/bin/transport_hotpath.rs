@@ -13,19 +13,11 @@
 //! `SB_CALLS` sets the per-transport call count (default 20,000 for the
 //! synthetic transport, 2,000 for the kernel-backed ones).
 
-use std::hint::black_box;
-use std::time::Instant;
-
-use sb_bench::{
-    knob, print_table,
-    report::{write_json, Json},
-};
+use sb_bench::harness::{drive, timed_calls, Verdict};
+use sb_bench::{knob, print_table, report::Json};
 use sb_microkernel::Personality;
-use sb_runtime::{
-    FixedServiceTransport, MpkTransport, RequestFactory, ServiceSpec, SkyBridgeTransport,
-    Transport, TrapIpcTransport,
-};
-use sb_ycsb::WorkloadSpec;
+use sb_runtime::{FixedServiceTransport, Transport};
+use skybridge_repro::scenarios::runtime::{build_backend, Backend, ServingScenario};
 
 /// Most bytes the wire path may copy per call at the 64-byte payload.
 const WIRE_BYTES_BOUND: f64 = 88.0;
@@ -38,58 +30,57 @@ struct Measured {
 
 /// Drives `calls` requests through lane 0 and returns the per-call
 /// averages.
-fn drive(t: &mut dyn Transport, calls: u64) -> Measured {
-    let mut factory = RequestFactory::new(WorkloadSpec::ycsb_a(10_000, 64), 64);
+fn measure(t: &mut dyn Transport, calls: u64) -> Measured {
+    let mut factory = ServingScenario::Kv.factory();
     // Warm: populate caches, TLBs and the lane allocation.
-    for _ in 0..calls.min(256) {
-        let r = factory.make(t.now(0), None);
-        t.call(0, &r).expect("warm call");
-    }
+    drive(t, &mut factory, calls.min(256), "warm call");
     let bytes0 = t.bytes_copied();
     let cyc0 = t.now(0);
-    let wall = Instant::now();
-    for _ in 0..calls {
-        let r = factory.make(t.now(0), None);
-        t.call(0, &r).expect("call");
-        black_box(t.reply(0));
-    }
-    let ns = wall.elapsed().as_nanos() as f64;
+    let ns_per_call = timed_calls(t, &mut factory, calls);
     Measured {
         bytes_per_call: (t.bytes_copied() - bytes0) as f64 / calls as f64,
-        ns_per_call: ns / calls as f64,
+        ns_per_call,
         sim_cycles_per_call: (t.now(0) - cyc0) as f64 / calls as f64,
     }
 }
 
 fn main() {
-    let spec = ServiceSpec::default();
     let kernel_calls = knob("SB_CALLS", 2_000) as u64;
-    let trap =
-        |p: Personality| -> Box<dyn Transport> { Box::new(TrapIpcTransport::new(p, 1, &spec)) };
+    let kernel = |b: Backend| build_backend(ServingScenario::Kv, &b, 1);
     let targets: Vec<(&str, Box<dyn Transport>, u64)> = vec![
         (
             "fixed",
             Box::new(FixedServiceTransport::new(1, 200)),
             knob("SB_CALLS", 20_000) as u64,
         ),
+        ("skybridge", kernel(Backend::SkyBridge), kernel_calls),
+        ("mpk", kernel(Backend::Mpk), kernel_calls),
         (
-            "skybridge",
-            Box::new(SkyBridgeTransport::new(1, &spec)),
+            "sel4-trap",
+            kernel(Backend::Trap(Personality::sel4())),
             kernel_calls,
         ),
-        ("mpk", Box::new(MpkTransport::new(1, &spec)), kernel_calls),
-        ("sel4-trap", trap(Personality::sel4()), kernel_calls),
-        ("fiasco-trap", trap(Personality::fiasco_oc()), kernel_calls),
-        ("zircon-trap", trap(Personality::zircon()), kernel_calls),
+        (
+            "fiasco-trap",
+            kernel(Backend::Trap(Personality::fiasco_oc())),
+            kernel_calls,
+        ),
+        (
+            "zircon-trap",
+            kernel(Backend::Trap(Personality::zircon())),
+            kernel_calls,
+        ),
     ];
 
     let mut rows = Vec::new();
     let mut json_rows: Vec<Json> = Vec::new();
-    let mut over = Vec::new();
+    let mut v = Verdict::default();
     for (name, mut t, calls) in targets {
-        let m = drive(t.as_mut(), calls);
+        let m = measure(t.as_mut(), calls);
         if m.bytes_per_call > WIRE_BYTES_BOUND {
-            over.push(name);
+            v.fail(format!(
+                "{name} copies more than {WIRE_BYTES_BOUND} B per call"
+            ));
         }
         rows.push(vec![
             name.to_string(),
@@ -116,16 +107,8 @@ fn main() {
         .field("bench", "transport_hotpath")
         .field("bytes_bound_per_call", WIRE_BYTES_BOUND)
         .field("rows", Json::Arr(json_rows));
-    match write_json("transport_hotpath", &doc) {
-        Ok(path) => println!("\nwrote {}", path.display()),
-        Err(e) => eprintln!("\ncould not write results JSON: {e}"),
-    }
-    if !over.is_empty() {
-        eprintln!(
-            "FAIL: {} copy more than {WIRE_BYTES_BOUND} B per call",
-            over.join(", ")
-        );
-        std::process::exit(1);
-    }
-    println!("every wire path copies at most {WIRE_BYTES_BOUND} B per call");
+    v.write("transport_hotpath", &doc);
+    v.finish(&format!(
+        "every wire path copies at most {WIRE_BYTES_BOUND} B per call"
+    ));
 }

@@ -4,66 +4,14 @@
 //! Every table and figure of the paper's evaluation has a binary in
 //! `src/bin/` that regenerates it (`cargo run --release -p sb-bench --bin
 //! table4`, …). This library holds the shared plumbing: aligned table
-//! printing, paper-reference constants for side-by-side output, and
-//! environment knobs for run sizes.
+//! printing, paper-reference constants for side-by-side output,
+//! environment knobs for run sizes, and — in [`harness`] — the one
+//! measuring and gating loop under every gated bin.
 
 use std::fmt::Display;
-use std::hint::black_box;
-use std::time::Instant;
 
+pub mod harness;
 pub mod report;
-
-/// One probe of the host speed unit: ns per iteration of a fixed
-/// reference loop — xorshift-indexed reads and writes over the caller's
-/// working set (4 MiB by convention), deliberately memory-bound like
-/// the simulator itself. Gates that compare against a committed ns
-/// baseline divide their minimum rep time by the minimum probe time,
-/// with probes interleaved between reps across the whole run: each
-/// minimum lands in a quiet window of the host, so host speed (CPU
-/// steal, throttling, a neighbor hammering the cache) divides out of
-/// the comparison. A pure-register reference does not work here:
-/// shared hosts perturb the memory subsystem far more than the core
-/// clock.
-pub fn unit_probe(arr: &mut [u64]) -> f64 {
-    const ITERS: u64 = 1_000_000;
-    let mask = arr.len() - 1;
-    let mut x = 0x9e37_79b9_7f4a_7c15u64;
-    let mut sum = 0u64;
-    let wall = Instant::now();
-    for _ in 0..ITERS {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-        let i = (x as usize) & mask;
-        sum = sum.wrapping_add(arr[i]);
-        arr[i] = sum ^ x;
-    }
-    black_box((&arr, sum));
-    wall.elapsed().as_nanos() as f64 / ITERS as f64
-}
-
-/// Pulls `"<field>":<x>` for the row `"transport":"<label>"` out of a
-/// committed baseline document without a JSON parser: rows are flat and
-/// emitted by the sentinel bin, so field order is stable.
-pub fn baseline_field(doc: &str, label: &str, field: &str) -> Option<f64> {
-    let key = format!("\"transport\":\"{label}\"");
-    let at = doc.find(&key)?;
-    let rest = &doc[at..];
-    // Bound the lookup to this row: rows need not share a field set
-    // (per-phase fields differ by personality), so a missing field must
-    // read as absent, not as the next row's value.
-    let rest = match rest[key.len()..].find("\"transport\":\"") {
-        Some(next) => &rest[..key.len() + next],
-        None => rest,
-    };
-    let needle = format!("\"{field}\":");
-    let ns_at = rest.find(&needle)?;
-    let tail = &rest[ns_at + needle.len()..];
-    let end = tail
-        .find(|c: char| c != '.' && c != '-' && !c.is_ascii_digit())
-        .unwrap_or(tail.len());
-    tail[..end].parse().ok()
-}
 
 /// Prints an aligned table: `header` then `rows`, all columns padded.
 pub fn print_table<H: Display, C: Display>(title: &str, header: &[H], rows: &[Vec<C>]) {

@@ -26,9 +26,8 @@ use sb_faultplane::{FaultHandle, FaultMix, FaultObserver, FaultPoint, FaultRepor
 use sb_fs::{log::Log, BlockDevice, FaultyDisk, RamDisk, BSIZE};
 use sb_observe::{FaultCounts, Recorder, Registry, DEFAULT_RING_CAPACITY};
 use sb_runtime::{
-    Faulty, MpkTransport, PoissonArrivals, RequestFactory, RetryPolicy, RingConfig, RingRuntime,
-    RingTransport, RunStats, RuntimeConfig, ServerRuntime, SkyBridgeTransport, Transport,
-    TrapIpcTransport,
+    Faulty, MpkTransport, PoissonArrivals, RetryPolicy, RingConfig, RingRuntime, RingTransport,
+    RunStats, RuntimeConfig, ServerRuntime, SkyBridgeTransport, Transport, TrapIpcTransport,
 };
 use sb_sentinel::{postmortem, BundleReceipt, PostmortemInput, PostmortemSpec, SloHandle, SloSpec};
 
@@ -264,7 +263,7 @@ fn chaos_cell(
         slo: Some(slo.clone()),
         ..RuntimeConfig::default()
     };
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
+    let mut factory = scenario.factory();
     let arrivals = PoissonArrivals::new(12_000.0, seed ^ 0xa55a).take(requests as usize);
     let stats = match ring {
         Some(rc) => {
@@ -389,7 +388,7 @@ pub fn run_ring_power_drill(
     assert!(requests >= 2);
     let scenario = ServingScenario::Kv;
     let mut rt = RingTransport::new(super::runtime::build_backend(scenario, backend, 1), ring);
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
+    let mut factory = scenario.factory();
     let budget = rt.config().batch_budget.max(1);
     let cut = 1 + seed % (requests - 1);
 

@@ -95,6 +95,11 @@ impl ServingScenario {
             ServingScenario::Minidb => 256,
         }
     }
+
+    /// A fresh request source: this scenario's workload at its payload.
+    pub fn factory(self) -> RequestFactory {
+        RequestFactory::new(self.workload(), self.payload())
+    }
 }
 
 /// Builds the serving transport for `backend` with `lanes` server
@@ -122,25 +127,31 @@ pub fn build_backend_with_spec(
     }
 }
 
-/// Deterministic direct-mode cycles per call of the KV service on a
-/// one-lane `backend` — the service rate load sweeps scale ρ against.
-/// 512 warm-up calls get past the KV store's growth phase, so the mean
-/// over the 512 timed calls after them is steady state.
-pub fn cycles_per_call(backend: &Backend) -> f64 {
-    let scenario = ServingScenario::Kv;
-    let mut t = build_backend(scenario, backend, 1);
-    let mut f = RequestFactory::new(scenario.workload(), scenario.payload());
-    for _ in 0..512 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    let t0 = t.now(0);
-    let n = 512u64;
+/// Drives `n` calls through lane 0, panicking with `what` on a failed
+/// call — the warm and drive loop under every calibration and bench.
+pub fn drive(t: &mut dyn Transport, f: &mut RequestFactory, n: u64, what: &str) {
     for _ in 0..n {
         let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
+        t.call(0, &r).expect(what);
     }
+}
+
+/// Mean simulated cycles per call over `n` driven calls.
+pub fn sim_cycles(t: &mut dyn Transport, f: &mut RequestFactory, n: u64, what: &str) -> f64 {
+    let t0 = t.now(0);
+    drive(t, f, n, what);
     (t.now(0) - t0) as f64 / n as f64
+}
+
+/// Deterministic direct-mode cycles per call of `scenario`'s service
+/// on a one-lane `backend` — the service rate load sweeps scale ρ
+/// against. 512 warm-up calls get past the KV store's growth phase, so
+/// the mean over the 512 timed calls after them is steady state.
+pub fn cycles_per_call(scenario: ServingScenario, backend: &Backend) -> f64 {
+    let mut t = build_backend(scenario, backend, 1);
+    let mut f = scenario.factory();
+    drive(t.as_mut(), &mut f, 512, "calibration call");
+    sim_cycles(t.as_mut(), &mut f, 512, "calibration call")
 }
 
 /// Builds the serving transport for `backend` behind submission and
@@ -173,7 +184,7 @@ pub fn run_ring_open_loop(
     seed: u64,
 ) -> RunStats {
     let mut transport = build_ring_backend(scenario, backend, lanes, ring);
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
+    let mut factory = scenario.factory();
     let arrivals = PoissonArrivals::new(mean_inter_arrival, seed).take(requests as usize);
     RingRuntime::new(&mut transport, runtime).run_open_loop(arrivals, &mut factory)
 }
@@ -190,7 +201,7 @@ pub fn run_open_loop(
     seed: u64,
 ) -> RunStats {
     let mut transport = build_backend(scenario, backend, lanes);
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
+    let mut factory = scenario.factory();
     let arrivals = PoissonArrivals::new(mean_inter_arrival, seed).take(requests as usize);
     ServerRuntime::new(transport.as_mut(), runtime).run_open_loop(arrivals, &mut factory)
 }
@@ -208,7 +219,7 @@ pub fn run_closed_loop(
     think: u64,
 ) -> RunStats {
     let mut transport = build_backend(scenario, backend, lanes);
-    let mut factory = RequestFactory::new(scenario.workload(), scenario.payload());
+    let mut factory = scenario.factory();
     ServerRuntime::new(transport.as_mut(), runtime).run_closed_loop(
         clients,
         ops_per_client,

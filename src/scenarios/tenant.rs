@@ -23,7 +23,9 @@ use sb_runtime::{
 use sb_sentinel::{SloHealth, SloSpec};
 use sb_sim::Cycles;
 
-use crate::scenarios::runtime::{build_backend, build_ring_backend, Backend, ServingScenario};
+use crate::scenarios::runtime::{
+    build_backend, build_ring_backend, cycles_per_call, Backend, ServingScenario,
+};
 
 /// The aggressor's tenant id (victims are `1..=VICTIMS`).
 pub const AGGRESSOR: TenantId = 1000;
@@ -184,25 +186,6 @@ pub fn registry() -> TenantRegistry {
     )
 }
 
-/// The backend's steady-state cycles per call on this scenario's
-/// service — the non-preemptive quantum [`TenantOutcome::isolated`]
-/// allows for. Warmup runs past the KV store's growth phase first.
-fn service_quantum(scenario: ServingScenario, backend: &Backend) -> Cycles {
-    let mut t = build_backend(scenario, backend, 1);
-    let mut f = RequestFactory::new(scenario.workload(), scenario.payload());
-    for _ in 0..512 {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    let t0 = t.now(0);
-    let n = 512;
-    for _ in 0..n {
-        let r = f.make(t.now(0), None);
-        t.call(0, &r).expect("calibration call");
-    }
-    (t.now(0) - t0).div_ceil(n)
-}
-
 /// Merged arrival streams: per-tenant Poisson processes with per-tenant
 /// seeds (victim streams are byte-identical between solo and contended
 /// runs), sorted into one `(times, tenant schedule)` pair.
@@ -299,7 +282,7 @@ pub fn run_noisy_neighbor(
         victims,
         actions,
         aggressor_health: healths.get(&AGGRESSOR).copied(),
-        service_quantum: service_quantum(scenario, backend),
+        service_quantum: cycles_per_call(scenario, backend).ceil() as Cycles,
     }
 }
 
